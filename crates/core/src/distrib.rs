@@ -17,8 +17,10 @@
 //!   to participate, exactly like journal resume) and the shared cache
 //!   directory. Workers rebuild the *identical* spec list locally from
 //!   the descriptor — specs never travel over the wire.
-//! * **`POST /claim`** — a lease `{index, attempt, ttl_ms}`, or
-//!   `{wait}` when everything is leased out, or `{done}`.
+//! * **`POST /claim`** — a lease `{index, attempt, ttl_ms}`, or `{done}`.
+//!   When nothing is claimable the request long-polls on a condvar and
+//!   answers `{wait}` only if no cell turns claimable before it times out;
+//!   the worker then claims again at once.
 //! * **`POST /heartbeat`** — extends the lease; answers `{lost}` once
 //!   the lease has expired under the worker.
 //! * **`POST /complete`** — reports success (the result is already in
@@ -50,7 +52,8 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use dmdc_workloads::{full_suite, Scale};
@@ -326,7 +329,8 @@ pub enum Claim {
     },
     /// Nothing claimable right now; retry after this many ms.
     Wait {
-        /// Suggested poll delay.
+        /// How long to wait before claiming again; the coordinator
+        /// long-polls for up to this long before answering `{wait}`.
         retry_ms: u64,
     },
     /// Every cell is terminal; the worker can exit.
@@ -564,6 +568,15 @@ impl LeaseTable {
     }
 }
 
+/// The longest gap between two lease sweeps of the supervision loop; it
+/// bounds recovery latency at TTL + `SWEEP`.
+const SWEEP: Duration = Duration::from_millis(25);
+
+/// The longest a claim long-polls before answering `{wait}`: well inside
+/// the 120 s read timeout of the HTTP client workers speak through, so a
+/// huge `--lease-ttl` cannot turn a parked claim into a worker error.
+const LONG_POLL_MAX: Duration = Duration::from_secs(60);
+
 /// Per-cell metadata the coordinator needs at the protocol layer.
 struct CellMeta {
     key: u64,
@@ -575,6 +588,11 @@ struct CellMeta {
 /// pieces of the `GET /plan` document.
 struct Coord {
     table: Mutex<LeaseTable>,
+    /// Signalled (always `notify_all`) after every table change that can
+    /// alter a claim's answer — a completion, a failure, a reissue, a
+    /// reclaim — and at shutdown. Long-polling claims and the supervision
+    /// loop wait on it.
+    changed: Condvar,
     meta: Vec<CellMeta>,
     cache: Arc<CellCache>,
     plan_doc: String,
@@ -585,12 +603,38 @@ struct Coord {
     activity: Mutex<Instant>,
     start: Instant,
     lease_dir: PathBuf,
+    /// Set (under the table lock) when the run is over.
     done: AtomicBool,
 }
 
 impl Coord {
     fn now_ms(&self) -> u64 {
         self.start.elapsed().as_millis() as u64
+    }
+
+    fn lock(&self) -> MutexGuard<'_, LeaseTable> {
+        self.table.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Releases `table` until a notify or `timeout`, then retakes it.
+    fn wait<'a>(
+        &self,
+        table: MutexGuard<'a, LeaseTable>,
+        timeout: Duration,
+    ) -> MutexGuard<'a, LeaseTable> {
+        self.changed
+            .wait_timeout(table, timeout)
+            .unwrap_or_else(|p| p.into_inner())
+            .0
+    }
+
+    /// Ends the run: sets `done` under the table lock, so a claim that
+    /// has just checked it cannot miss the notify, and wakes every waiter.
+    fn finish(&self) {
+        let table = self.lock();
+        self.done.store(true, Ordering::SeqCst);
+        drop(table);
+        self.changed.notify_all();
     }
 
     fn touch(&self) {
@@ -604,33 +648,25 @@ impl Coord {
             .elapsed()
     }
 
-    /// Durably records one cell's lease state as a sealed envelope —
-    /// best-effort, like the journal: a record that cannot be written
-    /// costs auditability, never correctness.
-    fn record_lease(&self, index: usize, state: &CellState) {
-        let mut body = render_lease(index, state);
-        // Include the lost-worker trail for post-mortems.
-        let lost = self
-            .table
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .lost_workers(index)
-            .join(",");
-        if !lost.is_empty() {
-            body.push_str(&format!("lost {lost}\n"));
-        }
+    /// Durably records one cell's lease record (rendered by
+    /// [`render_lease`] in the critical section of the transition it
+    /// describes) as a sealed envelope — best-effort, like the journal: a
+    /// record that cannot be written costs auditability, never
+    /// correctness.
+    fn record_lease(&self, index: usize, record: &str) {
         let path = self.lease_dir.join(format!("{index}.lease"));
         let tmp = self.lease_dir.join(format!("{index}.lease.tmp"));
-        if std::fs::write(&tmp, seal(&body)).is_ok() {
+        if std::fs::write(&tmp, seal(record)).is_ok() {
             let _ = std::fs::rename(&tmp, &path);
         }
     }
 }
 
-/// The sealed lease-record body (`dmdc-lease v1`).
-fn render_lease(index: usize, state: &CellState) -> String {
+/// The sealed lease-record body (`dmdc-lease v1`) of cell `index`: its
+/// state plus the lost-worker trail for post-mortems.
+fn render_lease(table: &LeaseTable, index: usize) -> String {
     let mut out = format!("dmdc-lease v1\nindex {index}\n");
-    match state {
+    match table.state(index) {
         CellState::Ready {
             attempt,
             eligible_at,
@@ -647,6 +683,10 @@ fn render_lease(index: usize, state: &CellState) -> String {
         CellState::Done => out.push_str("state done\n"),
         CellState::Failed => out.push_str("state failed\n"),
         CellState::Poisoned => out.push_str("state poisoned\n"),
+    }
+    let lost = table.lost_workers(index).join(",");
+    if !lost.is_empty() {
+        out.push_str(&format!("lost {lost}\n"));
     }
     out
 }
@@ -734,7 +774,6 @@ pub fn execute_plan_distributed(
     let listener =
         std::net::TcpListener::bind(&opts.bind).map_err(|e| format!("{}: {e}", opts.bind))?;
     let addr = listener.local_addr().map_err(|e| e.to_string())?;
-    listener.set_nonblocking(true).map_err(|e| e.to_string())?;
     eprintln!(
         "[distrib] coordinator listening on {addr} ({} cells, {} already in store)",
         specs.len(),
@@ -743,6 +782,7 @@ pub fn execute_plan_distributed(
 
     let coord = Arc::new(Coord {
         table: Mutex::new(table),
+        changed: Condvar::new(),
         meta,
         cache: Arc::clone(&cache),
         plan_doc,
@@ -753,21 +793,21 @@ pub fn execute_plan_distributed(
         done: AtomicBool::new(false),
     });
 
-    // The protocol thread: accept, serve, loop. Connections are handled
+    // The protocol thread: a blocking accept loop. Connections are handled
     // on their own threads so one slow worker cannot delay another's
-    // heartbeat.
+    // heartbeat, and a long-polling claim parks only its own thread.
     let listener_thread = {
         let coord = Arc::clone(&coord);
         std::thread::spawn(move || {
             let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-            while !coord.done.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
+            for stream in listener.incoming() {
+                if coord.done.load(Ordering::SeqCst) {
+                    break;
+                }
+                match stream {
+                    Ok(stream) => {
                         let coord = Arc::clone(&coord);
                         handlers.push(std::thread::spawn(move || serve_connection(stream, &coord)));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(10));
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                     Err(_) => break,
@@ -782,11 +822,7 @@ pub fn execute_plan_distributed(
 
     // Spawn the local fleet — unless the pre-sweep already satisfied
     // every cell, in which case there is nothing to shard.
-    let outstanding = coord
-        .table
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .outstanding();
+    let outstanding = coord.lock().outstanding();
     let mut children = Vec::new();
     if outstanding > 0 {
         for i in 0..opts.workers {
@@ -800,58 +836,57 @@ pub fn execute_plan_distributed(
     // The supervision loop: reclaim expired leases, and when the fleet
     // goes quiet past the grace period, execute cells locally — the
     // degradation ladder's bottom rung, which also serves the
-    // zero-worker case.
+    // zero-worker case. Between sweeps it waits on the condvar, so it
+    // sweeps at least every `SWEEP` and ends the moment the last cell
+    // turns terminal.
     loop {
-        {
-            let now = coord.now_ms();
-            let mut table = coord.table.lock().unwrap_or_else(|p| p.into_inner());
-            let reclaims = table.expire(now);
-            drop(table);
-            for r in &reclaims {
-                let m = &coord.meta[r.index];
-                if r.poisoned {
-                    recovery::record(
-                        RecoveryKind::CellPoisoned,
-                        m.workload.clone(),
-                        format!(
-                            "poisoned after losing worker {} (attempt {})",
-                            r.worker, r.attempt
-                        ),
-                    );
-                    eprintln!(
-                        "[distrib] cell {} ({}) poisoned after worker {} died (attempt {})",
-                        r.index, m.workload, r.worker, r.attempt
-                    );
-                } else {
-                    recovery::record(
-                        RecoveryKind::LeaseReclaimed,
-                        m.workload.clone(),
-                        format!(
-                            "lease of worker {} expired (attempt {})",
-                            r.worker, r.attempt
-                        ),
-                    );
-                    eprintln!(
-                        "[distrib] reclaimed cell {} ({}) from worker {} (attempt {})",
-                        r.index, m.workload, r.worker, r.attempt
-                    );
-                }
-                let state = coord
-                    .table
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .state(r.index)
-                    .clone();
-                coord.record_lease(r.index, &state);
+        let mut table = coord.lock();
+        let reclaims: Vec<(Reclaim, String)> = table
+            .expire(coord.now_ms())
+            .into_iter()
+            .map(|r| {
+                let record = render_lease(&table, r.index);
+                (r, record)
+            })
+            .collect();
+        if !reclaims.is_empty() {
+            coord.changed.notify_all();
+        }
+        let finished = table.all_terminal();
+        drop(table);
+        for (r, record) in &reclaims {
+            let m = &coord.meta[r.index];
+            if r.poisoned {
+                recovery::record(
+                    RecoveryKind::CellPoisoned,
+                    m.workload.clone(),
+                    format!(
+                        "poisoned after losing worker {} (attempt {})",
+                        r.worker, r.attempt
+                    ),
+                );
+                eprintln!(
+                    "[distrib] cell {} ({}) poisoned after worker {} died (attempt {})",
+                    r.index, m.workload, r.worker, r.attempt
+                );
+            } else {
+                recovery::record(
+                    RecoveryKind::LeaseReclaimed,
+                    m.workload.clone(),
+                    format!(
+                        "lease of worker {} expired (attempt {})",
+                        r.worker, r.attempt
+                    ),
+                );
+                eprintln!(
+                    "[distrib] reclaimed cell {} ({}) from worker {} (attempt {})",
+                    r.index, m.workload, r.worker, r.attempt
+                );
             }
-            if coord
-                .table
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .all_terminal()
-            {
-                break;
-            }
+            coord.record_lease(r.index, record);
+        }
+        if finished {
+            break;
         }
 
         // Reap any dead children so their loss is visible promptly.
@@ -867,52 +902,44 @@ pub fn execute_plan_distributed(
 
         if coord.idle_for() >= opts.grace {
             // Nobody out there is making progress: claim and execute one
-            // cell locally, then re-check.
-            let now = coord.now_ms();
-            let claim = coord
-                .table
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .claim("coordinator", now);
-            match claim {
-                Claim::Lease { index, .. } => {
-                    let m = &coord.meta[index];
-                    eprintln!(
-                        "[distrib] fleet quiet for {:?}; running cell {index} ({}) locally",
-                        opts.grace, m.workload
-                    );
-                    match engine.try_run_cell(&specs[index]) {
-                        Ok(_) => {
-                            let mut table = coord.table.lock().unwrap_or_else(|p| p.into_inner());
-                            table.complete("coordinator", index);
-                        }
-                        Err(f) => {
-                            let mut table = coord.table.lock().unwrap_or_else(|p| p.into_inner());
-                            if table.record_failure("coordinator", index) {
-                                coord.failures.lock().unwrap_or_else(|p| p.into_inner())[index] =
-                                    Some(f);
-                            }
+            // cell locally, then sweep again at once.
+            let claim = coord.lock().claim("coordinator", coord.now_ms());
+            if let Claim::Lease { index, .. } = claim {
+                let m = &coord.meta[index];
+                eprintln!(
+                    "[distrib] fleet quiet for {:?}; running cell {index} ({}) locally",
+                    opts.grace, m.workload
+                );
+                let outcome = engine.try_run_cell(&specs[index]);
+                let mut table = coord.lock();
+                match outcome {
+                    Ok(_) => {
+                        table.complete("coordinator", index);
+                    }
+                    Err(f) => {
+                        if table.record_failure("coordinator", index) {
+                            coord.failures.lock().unwrap_or_else(|p| p.into_inner())[index] =
+                                Some(f);
                         }
                     }
-                    let state = coord
-                        .table
-                        .lock()
-                        .unwrap_or_else(|p| p.into_inner())
-                        .state(index)
-                        .clone();
-                    coord.record_lease(index, &state);
                 }
-                Claim::Done => {}
-                Claim::Wait { .. } => std::thread::sleep(Duration::from_millis(25)),
+                coord.changed.notify_all();
+                let record = render_lease(&table, index);
+                drop(table);
+                coord.record_lease(index, &record);
+                continue;
             }
-        } else {
-            std::thread::sleep(Duration::from_millis(25));
+        }
+
+        let table = coord.lock();
+        if !table.all_terminal() {
+            drop(coord.wait(table, SWEEP));
         }
     }
 
     // Reap the fleet while the listener still answers: each worker's
-    // next claim returns `{done}` and it exits on its own. Only then
-    // stop the protocol thread. Stragglers past the deadline are killed.
+    // next claim returns `{done}` and it exits on its own. Stragglers
+    // past the deadline are killed.
     let deadline = Instant::now() + Duration::from_secs(3);
     for mut child in children {
         loop {
@@ -927,7 +954,11 @@ pub fn execute_plan_distributed(
             }
         }
     }
-    coord.done.store(true, Ordering::SeqCst);
+    // Stop the protocol thread: release every handler parked in a long
+    // poll (each answers `{done}`), then wake the blocking accept with
+    // one connection of our own.
+    coord.finish();
+    let _ = std::net::TcpStream::connect_timeout(&wake_addr(addr), Duration::from_secs(1));
     let _ = listener_thread.join();
 
     // Assembly: every cell goes back through the engine in spec order —
@@ -935,7 +966,7 @@ pub fn execute_plan_distributed(
     // poisoned/evicted cells) local simulation. Structured failures the
     // workers reported stand in for their cells, exactly as the
     // single-process quarantine path would have produced them.
-    let table = coord.table.lock().unwrap_or_else(|p| p.into_inner());
+    let table = coord.lock();
     let worker_failures = coord.failures.lock().unwrap_or_else(|p| p.into_inner());
     let mut cells: Vec<Option<CellResult>> = Vec::with_capacity(specs.len());
     let mut failures: Vec<CellFailure> = Vec::new();
@@ -1017,6 +1048,19 @@ pub fn run_experiment_distributed(
     }
 }
 
+/// Where the coordinator connects to wake its own accept loop: the bound
+/// address, with a wildcard IP replaced by loopback.
+fn wake_addr(bound: std::net::SocketAddr) -> std::net::SocketAddr {
+    let mut addr = bound;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            std::net::SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+            std::net::SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
+}
+
 /// Spawns one `dmdc worker --connect` child, stdout silenced (stdout
 /// belongs to the coordinator's report), stderr shared.
 fn spawn_worker(
@@ -1088,31 +1132,44 @@ fn parse_actor(body: &str) -> Result<(String, Option<usize>), String> {
     Ok((worker, index))
 }
 
+/// Answers a claim. When nothing is claimable the request long-polls:
+/// it waits on the condvar for up to the table's `retry_ms` (capped at
+/// [`LONG_POLL_MAX`]) and re-claims on every notify, so a worker learns of
+/// a freed cell, a reclaim or the end of the run the moment it happens.
+/// `{wait}` goes out only when the whole wait times out.
 fn handle_claim(body: &str, coord: &Coord) -> (u16, String) {
     let (worker, _) = match parse_actor(body) {
         Ok(a) => a,
         Err(e) => return (400, format!("{{\"error\": \"{}\"}}\n", json::escape(&e))),
     };
     coord.touch();
-    let now = coord.now_ms();
-    let claim = coord
-        .table
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .claim(&worker, now);
+    let mut deadline: Option<Instant> = None;
+    let mut table = coord.lock();
+    let claim = loop {
+        if coord.done.load(Ordering::SeqCst) {
+            break Claim::Done;
+        }
+        let claim = table.claim(&worker, coord.now_ms());
+        let Claim::Wait { retry_ms } = claim else {
+            break claim;
+        };
+        let retry = Duration::from_millis(retry_ms);
+        let deadline = *deadline.get_or_insert_with(|| Instant::now() + retry.min(LONG_POLL_MAX));
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            break claim;
+        }
+        table = coord.wait(table, left.min(retry));
+    };
     match claim {
         Claim::Lease {
             index,
             attempt,
             ttl_ms,
         } => {
-            let state = coord
-                .table
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .state(index)
-                .clone();
-            coord.record_lease(index, &state);
+            let record = render_lease(&table, index);
+            drop(table);
+            coord.record_lease(index, &record);
             (
                 200,
                 format!(
@@ -1136,11 +1193,7 @@ fn handle_heartbeat(body: &str, coord: &Coord) -> (u16, String) {
     };
     coord.touch();
     let now = coord.now_ms();
-    let alive = coord
-        .table
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .heartbeat(&worker, index, now);
+    let alive = coord.lock().heartbeat(&worker, index, now);
     if alive {
         (200, "{\"ok\": true}\n".to_string())
     } else {
@@ -1170,36 +1223,16 @@ fn handle_complete(body: &str, coord: &Coord) -> (u16, String) {
     let now = coord.now_ms();
     let m = &coord.meta[index];
 
-    let accepted = if ok {
-        // Trust nothing: the result must actually unseal from the shared
-        // store before the lease is retired. A partial upload reads as a
-        // missing/corrupt entry and re-issues the lease.
-        if coord.cache.load(m.key, &m.workload).is_some() {
-            coord
-                .table
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .complete(&worker, index)
-        } else {
-            let reissued = coord
-                .table
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .fail_publish(&worker, index, now);
-            if reissued {
-                recovery::record(
-                    RecoveryKind::LeaseReclaimed,
-                    m.workload.clone(),
-                    format!("worker {worker}'s published result failed verification"),
-                );
-                eprintln!(
-                    "[distrib] cell {index} ({}): result from {worker} failed \
-                     verification; lease re-issued",
-                    m.workload
-                );
-            }
-            false
-        }
+    // Trust nothing: a reported success must actually unseal from the
+    // shared store before the lease is retired. A partial upload reads as
+    // a missing/corrupt entry and re-issues the lease. The store is read
+    // before the table lock is taken.
+    let verified = ok && coord.cache.load(m.key, &m.workload).is_some();
+    let mut table = coord.lock();
+    let (accepted, reissued) = if verified {
+        (table.complete(&worker, index), false)
+    } else if ok {
+        (false, table.fail_publish(&worker, index, now))
     } else {
         let failure = CellFailure {
             workload: m.workload.clone(),
@@ -1212,23 +1245,28 @@ fn handle_complete(body: &str, coord: &Coord) -> (u16, String) {
                 .to_string(),
             attempts: doc.get("attempts").and_then(Json::as_u64).unwrap_or(1) as u32,
         };
-        let recorded = coord
-            .table
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .record_failure(&worker, index);
+        let recorded = table.record_failure(&worker, index);
         if recorded {
             coord.failures.lock().unwrap_or_else(|p| p.into_inner())[index] = Some(failure);
         }
-        recorded
+        (recorded, false)
     };
-    let state = coord
-        .table
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .state(index)
-        .clone();
-    coord.record_lease(index, &state);
+    coord.changed.notify_all();
+    let record = render_lease(&table, index);
+    drop(table);
+    if reissued {
+        recovery::record(
+            RecoveryKind::LeaseReclaimed,
+            m.workload.clone(),
+            format!("worker {worker}'s published result failed verification"),
+        );
+        eprintln!(
+            "[distrib] cell {index} ({}): result from {worker} failed \
+             verification; lease re-issued",
+            m.workload
+        );
+    }
+    coord.record_lease(index, &record);
     (200, format!("{{\"accepted\": {accepted}}}\n"))
 }
 
@@ -1292,8 +1330,9 @@ pub fn run_worker(addr: &str, id: &str) -> Result<(), String> {
             eprintln!("[worker {id}] coordinator reports done; exiting");
             return Ok(());
         }
-        if let Some(ms) = doc.get("wait").and_then(Json::as_u64) {
-            std::thread::sleep(Duration::from_millis(ms.clamp(10, 2_000)));
+        // The coordinator already long-polled before answering `{wait}`:
+        // claim again at once.
+        if doc.get("wait").is_some() {
             continue;
         }
         let lease = doc.get("lease").ok_or("claim reply has no lease")?;
@@ -1315,10 +1354,9 @@ pub fn run_worker(addr: &str, id: &str) -> Result<(), String> {
         }
 
         // Heartbeat thread: every ttl/3 until the cell is finished (or
-        // the chaos plan silences it).
-        let stop = Arc::new(AtomicBool::new(false));
+        // the chaos plan silences it). Dropping `stop` ends it at once.
+        let (stop, stopped) = mpsc::channel::<()>();
         let hb = {
-            let stop = Arc::clone(&stop);
             let addr = addr.to_string();
             let id = id.to_string();
             std::thread::spawn(move || {
@@ -1330,20 +1368,7 @@ pub fn run_worker(addr: &str, id: &str) -> Result<(), String> {
                     "{{\"worker\": \"{}\", \"index\": {index}}}",
                     json::escape(&id)
                 );
-                // Sleep in short slices so the post-cell join returns in
-                // ~a slice, not a full heartbeat interval.
-                let slice = Duration::from_millis(10);
-                let mut slept = Duration::ZERO;
-                loop {
-                    if stop.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    std::thread::sleep(slice);
-                    slept += slice;
-                    if slept < interval {
-                        continue;
-                    }
-                    slept = Duration::ZERO;
+                while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
                     match http::request(&addr, "POST", "/heartbeat", Some(&body)) {
                         Ok((200, reply)) if reply.contains("\"lost\"") => {
                             eprintln!(
@@ -1360,7 +1385,7 @@ pub fn run_worker(addr: &str, id: &str) -> Result<(), String> {
         };
 
         let outcome = engine.try_run_cell(&specs[index]);
-        stop.store(true, Ordering::SeqCst);
+        drop(stop);
         let _ = hb.join();
 
         // Chaos: a kill-after worker aborts here — cell executed and
@@ -1524,6 +1549,76 @@ mod tests {
             }
         }
         assert_eq!(*t.state(0), CellState::Poisoned, "attempt bound hit");
+    }
+
+    /// A claim parked in a long poll must wake the moment another
+    /// worker's completion ends the run. Worker `a` holds cell 0, cell 1
+    /// is done, and `b`'s claim has nothing to take: with a 600 s TTL a
+    /// missed notify would park it for the whole [`LONG_POLL_MAX`].
+    #[test]
+    fn parked_claim_wakes_when_the_run_ends() {
+        let dir = std::env::temp_dir().join(format!("dmdc-distrib-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut table = LeaseTable::new(2, cfg(600_000, 3));
+        table.mark_done(1);
+        assert!(matches!(table.claim("a", 0), Claim::Lease { index: 0, .. }));
+        let meta = (0..2)
+            .map(|i| CellMeta {
+                key: i,
+                workload: format!("w{i}"),
+                desc: format!("cell {i}"),
+            })
+            .collect();
+        let coord = Arc::new(Coord {
+            table: Mutex::new(table),
+            changed: Condvar::new(),
+            meta,
+            cache: Arc::new(CellCache::new(dir.join("cache"))),
+            plan_doc: String::new(),
+            failures: Mutex::new(vec![None, None]),
+            activity: Mutex::new(Instant::now()),
+            start: Instant::now(),
+            lease_dir: dir.clone(),
+            done: AtomicBool::new(false),
+        });
+
+        let (tx, rx) = mpsc::channel();
+        let parked = {
+            let coord = Arc::clone(&coord);
+            std::thread::spawn(move || {
+                let _ = tx.send(handle_claim("{\"worker\": \"b\"}", &coord));
+            })
+        };
+        assert!(
+            matches!(
+                rx.recv_timeout(Duration::from_millis(200)),
+                Err(RecvTimeoutError::Timeout)
+            ),
+            "b must park while a holds the only live cell"
+        );
+
+        let failed = "{\"worker\": \"a\", \"index\": 0, \"ok\": false, \
+                      \"kind\": \"panic\", \"detail\": \"boom\"}";
+        assert_eq!(
+            handle_complete(failed, &coord),
+            (200, "{\"accepted\": true}\n".to_string())
+        );
+        assert_eq!(
+            rx.recv_timeout(Duration::from_secs(5))
+                .expect("the failed completion must wake the parked claim"),
+            (200, "{\"done\": true}\n".to_string())
+        );
+        parked.join().unwrap();
+
+        // The envelope records the transition that produced it.
+        let record = std::fs::read_to_string(dir.join("0.lease")).unwrap();
+        assert!(
+            crate::cache::unseal(&record)
+                .unwrap()
+                .contains("state failed\n"),
+            "{record}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

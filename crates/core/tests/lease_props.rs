@@ -9,7 +9,9 @@
 //! * never let a non-holder act — heartbeats, completions and failures
 //!   from a worker that lost its lease are rejected;
 //! * poison only with cause — a poisoned cell really did lose
-//!   `poison_after` distinct workers or hit the attempt bound.
+//!   `poison_after` distinct workers or hit the attempt bound;
+//! * answer `Wait` only with cause — nothing claimable yet something
+//!   still live, the predicate the coordinator's long-poll claims park on.
 //!
 //! The clock is logical (milliseconds passed in by the test), so every
 //! interleaving is deterministic and shrinkable.
@@ -166,6 +168,61 @@ proptest! {
         prop_assert_eq!(drained, done);
         prop_assert!(accepted_total <= done,
             "more accepted completions than done cells");
+    }
+
+    /// `claim` answers `Wait` only when no cell is claimable at `now` and
+    /// at least one cell is non-terminal: a claim parked on `Wait` has
+    /// something to wait for, and nothing it could take instead.
+    #[test]
+    fn wait_means_nothing_claimable_and_something_live(
+        cells in 1usize..6,
+        ops in prop::collection::vec((0u8..5, 0u8..4, 0u16..200), 1..200),
+    ) {
+        let cfg = LeaseConfig { ttl_ms: 100, poison_after: 2, max_attempts: 4 };
+        let mut t = LeaseTable::new(cells, cfg);
+        let mut now: u64 = 0;
+        let mut held: Vec<Vec<usize>> = vec![Vec::new(); WORKERS.len()];
+        for &(op, who, dt) in &ops {
+            let worker = WORKERS[who as usize];
+            match op {
+                0 | 1 => {
+                    let claimable = (0..cells).any(|i| matches!(
+                        t.state(i),
+                        CellState::Ready { eligible_at, .. } if *eligible_at <= now
+                    ));
+                    let live = !t.all_terminal();
+                    match t.claim(worker, now) {
+                        Claim::Wait { .. } => {
+                            prop_assert!(!claimable, "Wait while a cell was claimable");
+                            prop_assert!(live, "Wait with every cell terminal");
+                        }
+                        Claim::Lease { index, .. } => held[who as usize].push(index),
+                        Claim::Done => prop_assert!(!live),
+                    }
+                }
+                2 => {
+                    if let Some(index) = held[who as usize].pop() {
+                        let _ = t.complete(worker, index);
+                    }
+                }
+                3 => {
+                    if let Some(index) = held[who as usize].pop() {
+                        let _ = t.fail_publish(worker, index, now);
+                    }
+                }
+                _ => {
+                    if let Some(index) = held[who as usize].pop() {
+                        let _ = t.record_failure(worker, index);
+                    }
+                }
+            }
+            now += dt as u64;
+            for r in t.expire(now) {
+                for h in held.iter_mut() {
+                    h.retain(|&i| i != r.index);
+                }
+            }
+        }
     }
 
     /// Stale holders can do nothing: once a lease expires, every action

@@ -157,6 +157,43 @@ fn zero_workers_degrades_to_local_serial_execution() {
     );
 }
 
+/// With a 120 s TTL an idle worker's claim long-polls for up to 60 s, so
+/// this run shows every worker is woken the moment the last cell lands:
+/// a missed notify would leave a worker parked until the coordinator
+/// kills it at its reap deadline, and that worker would never report
+/// `{done}`.
+#[test]
+fn long_ttl_fleet_drains_without_parking() {
+    let single_dir = workdir("dmdc-distrib-longpoll-single");
+    let single = dmdc(&single_dir, SUITE);
+    assert!(single.status.success(), "single: {}", stderr(&single));
+
+    let dir = workdir("dmdc-distrib-longpoll");
+    let started = std::time::Instant::now();
+    let out = dmdc(
+        &dir,
+        &suite_with(&["--distrib", "--workers", "2", "--lease-ttl", "120000"]),
+    );
+    let elapsed = started.elapsed();
+    assert!(out.status.success(), "long-ttl fleet: {}", stderr(&out));
+    assert_eq!(
+        stdout(&out),
+        stdout(&single),
+        "long-ttl fleet report drifted from the single-process report"
+    );
+    assert!(
+        elapsed < std::time::Duration::from_secs(30),
+        "long-ttl fleet took {elapsed:?}: a parked claim missed its wake-up"
+    );
+    for worker in ["w0", "w1"] {
+        assert!(
+            stderr(&out).contains(&format!("[worker {worker}] coordinator reports done")),
+            "worker {worker} never got `{{done}}`:\n{}",
+            stderr(&out)
+        );
+    }
+}
+
 /// A worker pointed at a dead coordinator retries with backoff and then
 /// fails with a clear terminal error instead of hanging forever.
 #[test]
