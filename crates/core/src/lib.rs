@@ -21,8 +21,8 @@
 //! [`cell`] (the unified per-run metrics record) and [`report`] (tables
 //! and the text/JSON/CSV emitters) underneath. [`service`] wraps the
 //! whole registry in a long-running HTTP/JSON daemon (`dmdc serve`) with
-//! a priority [`queue`] and [`flight`]-based single-flight coalescing of
-//! duplicate cells.
+//! a priority [`queue`], job-level coalescing of identical submissions,
+//! and cell sharing across jobs through the [`cache`].
 //!
 //! # Examples
 //!
@@ -47,7 +47,6 @@ pub mod distrib;
 mod dmdc;
 pub mod experiments;
 pub mod faults;
-pub mod flight;
 pub mod fuzz;
 pub mod journal;
 pub mod queue;

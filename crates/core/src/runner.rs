@@ -38,7 +38,6 @@ use dmdc_workloads::Workload;
 use crate::cache::{workload_digest, CacheCounters, CellCache};
 use crate::cell::{CellError, CellFailure, CellResult, FailureKind};
 use crate::experiments::{PolicyKind, Run};
-use crate::flight::{Entry, FlightCounters, SingleFlight};
 use crate::journal::{JournalCounters, RunJournal};
 use crate::recovery::{self, RecoveryKind};
 
@@ -95,23 +94,6 @@ pub fn set_global_cell_cache(cache: Option<Arc<CellCache>>) {
 /// The process-wide default cell cache, if one is installed.
 pub fn global_cell_cache() -> Option<Arc<CellCache>> {
     GLOBAL_CACHE.lock().expect("cell cache poisoned").clone()
-}
-
-/// Process-wide single-flight table over cell cache keys (see
-/// [`crate::flight`]). The service installs one so that concurrent jobs
-/// hitting the same cell coalesce into one simulation; the one-shot CLI
-/// leaves the slot empty and is unaffected.
-static GLOBAL_FLIGHT: Mutex<Option<Arc<SingleFlight>>> = Mutex::new(None);
-
-/// Installs (or, with `None`, removes) the process-wide single-flight
-/// table picked up by every subsequently created [`Engine`].
-pub fn set_global_flight(flight: Option<Arc<SingleFlight>>) {
-    *GLOBAL_FLIGHT.lock().expect("flight slot poisoned") = flight;
-}
-
-/// The process-wide single-flight table, if one is installed.
-pub fn global_flight() -> Option<Arc<SingleFlight>> {
-    GLOBAL_FLIGHT.lock().expect("flight slot poisoned").clone()
 }
 
 /// Process-wide default run journal (crash-safe checkpoint/resume). The
@@ -535,7 +517,6 @@ pub struct Engine<'w> {
     oracle: EmuOracle,
     jobs: usize,
     cache: Option<Arc<CellCache>>,
-    flight: Option<Arc<SingleFlight>>,
     journal: Option<Arc<RunJournal>>,
     retries: usize,
     cell_timeout: Option<Duration>,
@@ -557,7 +538,6 @@ impl<'w> Engine<'w> {
             oracle: EmuOracle::new(workloads.len()),
             jobs: jobs.max(1),
             cache: global_cell_cache(),
-            flight: global_flight(),
             journal: global_journal(),
             retries: default_retries(),
             cell_timeout: default_cell_timeout(),
@@ -577,21 +557,6 @@ impl<'w> Engine<'w> {
     pub fn with_journal(mut self, journal: Option<Arc<RunJournal>>) -> Engine<'w> {
         self.journal = journal;
         self
-    }
-
-    /// Replaces the engine's single-flight table (`None` disables
-    /// coalescing for this engine regardless of the process-wide default).
-    /// Coalescing requires a cell cache — the flight only sequences
-    /// threads around the cache as the shared result store — so an engine
-    /// with a flight but no cache simulates every cell itself.
-    pub fn with_flight(mut self, flight: Option<Arc<SingleFlight>>) -> Engine<'w> {
-        self.flight = flight;
-        self
-    }
-
-    /// The single-flight table's counters, if this engine carries one.
-    pub fn flight_counters(&self) -> Option<FlightCounters> {
-        self.flight.as_ref().map(|f| f.counters())
     }
 
     /// Sets how many times a failing cell is retried before quarantine
@@ -677,47 +642,14 @@ impl<'w> Engine<'w> {
                 return Ok(cell);
             }
         }
-        let cached = self.cache.as_ref().and_then(|cache| {
-            let key = cache.key(digest, &desc);
-            cache.load(key, name).map(|cell| (key, cell))
-        });
-        if let Some((_, cell)) = cached {
+        let cached = self
+            .cache
+            .as_ref()
+            .and_then(|cache| cache.load(cache.key(digest, &desc), name));
+        if let Some(cell) = cached {
             self.checkpoint(digest, &desc, &cell);
             return Ok(cell);
         }
-        // Single-flight (service mode): the first thread to miss on a key
-        // leads and simulates; concurrent missers on the same key block on
-        // its flight and re-read the cache once it lands. The guard stays
-        // alive through the attempt loop below, so followers wake only
-        // after the leader's `cache.store` — or after its failure, in
-        // which case the re-read misses and the follower simulates for
-        // itself (coalescing may delay a result, never lose one).
-        let _lead = match (self.cache.as_ref(), self.flight.as_ref()) {
-            (Some(cache), Some(flight)) => {
-                let key = cache.key(digest, &desc);
-                match flight.join(key) {
-                    Entry::Leader(guard) => {
-                        // A previous leader may have landed the result
-                        // between our miss above and this join; re-check
-                        // so the race costs a cache read, not a
-                        // simulation.
-                        if let Some(cell) = cache.load(key, name) {
-                            self.checkpoint(digest, &desc, &cell);
-                            return Ok(cell);
-                        }
-                        Some(guard)
-                    }
-                    Entry::Waited => {
-                        if let Some(cell) = cache.load(key, name) {
-                            self.checkpoint(digest, &desc, &cell);
-                            return Ok(cell);
-                        }
-                        None
-                    }
-                }
-            }
-            _ => None,
-        };
         let attempts = self.retries + 1;
         let mut last = None;
         for attempt in 0..attempts {

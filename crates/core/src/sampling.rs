@@ -1190,11 +1190,13 @@ mod tests {
             &crate::experiments::PolicyKind::DmdcGlobal,
             SimOptions::default(),
         );
-        let mut opts = SimOptions::default();
-        opts.sampling = SampleSpec {
-            windows: 12,
-            window_insts: 1_000,
-            warmup_insts: 1_000,
+        let opts = SimOptions {
+            sampling: SampleSpec {
+                windows: 12,
+                window_insts: 1_000,
+                warmup_insts: 1_000,
+            },
+            ..SimOptions::default()
         };
         let sampled = crate::experiments::run_workload(
             &w,

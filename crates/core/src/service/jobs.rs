@@ -6,12 +6,12 @@
 //!
 //! * **submit** — parse and validate the request, account it against the
 //!   client's quota, coalesce it onto an identical in-flight job if one
-//!   exists (single-flight at the job level; see below), persist a
+//!   exists (see below), persist a
 //!   sealed `jobs/<id>.job` envelope, and enqueue;
 //! * **dispatch** — a worker pops jobs in priority order (FIFO within a
 //!   priority) and executes them through the ordinary
 //!   [`Engine`](crate::runner::Engine), which consults the process-wide
-//!   cell cache and [`SingleFlight`](crate::flight::SingleFlight) table;
+//!   cell cache, so a cell an earlier job simulated is read, not re-run;
 //! * **complete** — the rendered report (the same JSON the CLI's
 //!   `--format json` emits) is persisted as a sealed
 //!   `results/<id>.result` envelope before the job is marked done, so a
@@ -119,7 +119,7 @@ impl JobSpec {
         }
     }
 
-    /// The single-flight coalescing key: fingerprint ‖ canonical spec.
+    /// The job coalescing key: fingerprint ‖ canonical spec.
     pub fn key(&self) -> u64 {
         let mut h = Fnv64::new();
         h.write(cache::default_fingerprint().as_bytes());

@@ -6,7 +6,7 @@
 //! JSON documents the CLI's `--format json` emitters print. Everything
 //! is std-only: the wire layer is the hand-rolled [`http`] module, the
 //! documents go through the hand-rolled [`json`] parser, in the same
-//! offline-shim spirit as the repo's proptest and criterion stand-ins.
+//! offline-shim spirit as the repo's proptest stand-in.
 //!
 //! Layering:
 //!
@@ -18,13 +18,12 @@
 //! * this module — the daemon itself: socket loop, routing, dispatcher
 //!   thread, graceful drain on SIGTERM/`POST /shutdown`.
 //!
-//! Duplicate suppression happens twice, deliberately at two layers:
-//! identical *submissions* merge onto one queued job here (see
-//! [`jobs::JobManager::submit`]), and identical *cells* racing inside
-//! the engine merge onto one simulation through the process-wide
-//! [`SingleFlight`](crate::flight::SingleFlight) table. The first keeps
-//! the queue and quota honest; the second protects even unrelated jobs
-//! that happen to share cells.
+//! Duplicate work is suppressed by two mechanisms: identical
+//! *submissions* merge onto one queued job (see
+//! [`jobs::JobManager::submit`]), and distinct jobs that share cells
+//! share them through the content-addressed cell cache. Jobs run one at
+//! a time on a single dispatcher, so a shared cell is simulated by the
+//! first job that needs it and read from the cache by every later one.
 //!
 //! # Routes
 //!
@@ -35,7 +34,7 @@
 //! | `GET /jobs`             | list all tracked jobs                         |
 //! | `GET /jobs/<id>`        | one job's status document                     |
 //! | `GET /jobs/<id>/result` | the stored result (202 while pending)         |
-//! | `GET /metrics`          | service + cache + single-flight counters      |
+//! | `GET /metrics`          | service + cache counters                      |
 //! | `POST /queue/pause`     | stop dispatching (submissions still enqueue)  |
 //! | `POST /queue/resume`    | resume dispatching                            |
 //! | `POST /shutdown`        | graceful drain, then exit                     |
@@ -56,7 +55,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::cache::CellCache;
-use crate::flight::SingleFlight;
 use crate::runner;
 use crate::service::jobs::{JobManager, JobSpec, JobState, SubmitOutcome};
 
@@ -109,19 +107,15 @@ fn install_signal_handlers() {}
 
 /// Runs the daemon until a graceful shutdown completes. Installs the
 /// process-wide cell cache (under `state_dir/cache`, unless one is
-/// already installed — `--cache` wins) and the single-flight table,
-/// recovers any unfinished jobs from a previous life, prints the bound
-/// address, and serves until SIGTERM/SIGINT or `POST /shutdown` drains
-/// the queue.
+/// already installed — `--cache` wins), recovers any unfinished jobs
+/// from a previous life, prints the bound address, and serves until
+/// SIGTERM/SIGINT or `POST /shutdown` drains the queue.
 pub fn serve(opts: &ServeOptions) -> Result<(), String> {
     SHUTDOWN.store(false, Ordering::SeqCst);
     install_signal_handlers();
 
     if runner::global_cell_cache().is_none() {
         runner::set_global_cell_cache(Some(Arc::new(CellCache::new(opts.state_dir.join("cache")))));
-    }
-    if runner::global_flight().is_none() {
-        runner::set_global_flight(Some(Arc::new(SingleFlight::new())));
     }
 
     let manager = Arc::new(JobManager::new(&opts.state_dir, opts.quota)?);
@@ -341,8 +335,7 @@ fn job_route(path: &str, manager: &JobManager) -> (u16, String) {
     }
 }
 
-/// `GET /metrics`: service, queue, cache and single-flight counters in
-/// one document.
+/// `GET /metrics`: service, queue and cache counters in one document.
 fn metrics_json(manager: &JobManager) -> String {
     let c = manager.counters();
     let mut out = format!(
@@ -364,15 +357,6 @@ fn metrics_json(manager: &JobManager) -> String {
             ", \"cache\": {{\"hits\": {}, \"misses\": {}, \"stores\": {}, \
              \"corrupt\": {}, \"quarantined\": {}}}",
             cc.hits, cc.misses, cc.stores, cc.corrupt, cc.quarantined
-        ));
-    }
-    if let Some(flight) = runner::global_flight() {
-        let fc = flight.counters();
-        out.push_str(&format!(
-            ", \"flight\": {{\"led\": {}, \"coalesced\": {}, \"waiting\": {}}}",
-            fc.led,
-            fc.coalesced,
-            flight.waiting()
         ));
     }
     out.push_str("}\n");

@@ -30,7 +30,7 @@ proptest! {
     fn no_interleaving_loses_a_cell_or_double_publishes(
         cells in 1usize..6,
         poison_after in 1u32..4,
-        ops in prop::collection::vec((0u8..6, 0u8..8, 0u8..4, 0u16..400), 1..300),
+        ops in prop::collection::vec((0u8..6, 0u8..4, 0u16..400), 1..300),
     ) {
         let cfg = LeaseConfig {
             ttl_ms: 100,
@@ -45,7 +45,7 @@ proptest! {
         let mut held: Vec<Vec<usize>> = vec![Vec::new(); WORKERS.len()];
         let mut accepted_total = 0u32;
 
-        for &(op, arg, who, dt) in &ops {
+        for &(op, who, dt) in &ops {
             let worker = WORKERS[who as usize];
             match op {
                 // Claim: a granted lease must be on a cell that was

@@ -447,7 +447,7 @@ mod tests {
             AccessSize::B4,
             AccessSize::B8,
         ] {
-            let addr = Addr((5 << PAGE_SHIFT) - u64::from(size.bytes()));
+            let addr = Addr((5 << PAGE_SHIFT) - size.bytes());
             let value = 0xF0E1_D2C3_B4A5_9687u64 & ((1u128 << (8 * size.bytes())) - 1) as u64;
             m.write(addr, size, value);
             assert_eq!(m.read(addr, size), value, "{size:?}");

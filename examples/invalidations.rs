@@ -51,7 +51,7 @@ fn main() {
         ]);
     }
     println!("{t}");
-    println!("(Full-suite Table 6 regeneration: cargo bench --bench table6_invalidations)");
+    println!("(Full-suite Table 6 regeneration: dmdc experiment table6)");
 
     // The paper's suite-level Table 6, at smoke scale so this example stays
     // quick; crank DMDC_SCALE for the real thing.

@@ -1198,7 +1198,7 @@ fn cmd_status(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `dmdc metrics`: the daemon's service/cache/single-flight counters.
+/// `dmdc metrics`: the daemon's service and cache counters.
 fn cmd_metrics(args: &[String]) -> Result<(), String> {
     let flags = parse_flags(args)?;
     let addr = server_addr(&flags);

@@ -1,8 +1,9 @@
 //! Black-box tests for `dmdc serve`, end to end against the real binary:
 //! boot the daemon on an ephemeral port, drive it over HTTP, and prove
-//! the service contract — submit/poll/fetch, single-flight coalescing of
-//! identical submissions, structured quota rejection, graceful drain,
-//! and kill-9-then-restart recovery with byte-identical results.
+//! the service contract — submit/poll/fetch, coalescing of identical
+//! submissions onto one job, cell sharing across distinct jobs through
+//! the cache, structured quota rejection, graceful drain, and
+//! kill-9-then-restart recovery with byte-identical results.
 
 use std::io::BufRead;
 use std::path::{Path, PathBuf};
@@ -84,6 +85,22 @@ impl Daemon {
             assert!(Instant::now() < deadline, "job {id} never finished");
             std::thread::sleep(Duration::from_millis(50));
         }
+    }
+
+    /// Runs `dmdc submit --wait` for one smoke-scale experiment against
+    /// this daemon and returns the printed report.
+    fn submit_wait(&self, experiment: &str) -> String {
+        let out = Command::new(env!("CARGO_BIN_EXE_dmdc"))
+            .args(["submit", "--addr", &self.addr, "--experiment", experiment])
+            .args(["--scale", "smoke", "--wait"])
+            .output()
+            .expect("run dmdc submit");
+        assert!(
+            out.status.success(),
+            "submit {experiment}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).expect("utf-8 report")
     }
 
     /// Graceful shutdown; returns true if the process exited cleanly.
@@ -228,6 +245,29 @@ fn concurrent_identical_submissions_coalesce_to_one_job() {
         1,
         "one simulation stored one cell"
     );
+
+    assert!(daemon.shutdown());
+}
+
+#[test]
+fn distinct_jobs_sharing_cells_simulate_each_cell_once() {
+    // `table2` and `table3` share all 14 of their smoke-scale cells: the
+    // first job simulates and stores each one, the second reads every
+    // one back from the cache. A cold cell is one cache miss, not two.
+    let state = state_dir("dmdc-service-shared-cells");
+    let daemon = Daemon::boot(&state, &[]);
+    for experiment in ["table2", "table3"] {
+        let report = daemon.submit_wait(experiment);
+        assert!(report.contains(experiment), "{report}");
+    }
+
+    let (_, metrics) = daemon.get("/metrics");
+    let doc = json::parse(&metrics).unwrap();
+    assert_eq!(metric(&doc, "jobs", "completed"), 2);
+    assert_eq!(metric(&doc, "cache", "hits"), 14, "{metrics}");
+    assert_eq!(metric(&doc, "cache", "misses"), 14, "{metrics}");
+    assert_eq!(metric(&doc, "cache", "stores"), 14, "{metrics}");
+    assert!(doc.get("flight").is_none(), "{metrics}");
 
     assert!(daemon.shutdown());
 }

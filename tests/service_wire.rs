@@ -14,7 +14,7 @@
 
 use std::path::PathBuf;
 
-use dmdc::core::runner::{set_global_cell_cache, set_global_flight};
+use dmdc::core::runner::set_global_cell_cache;
 use dmdc::core::service::http::Request;
 use dmdc::core::service::jobs::{self, JobManager};
 use dmdc::core::service::route;
@@ -72,13 +72,12 @@ const CELL: &str = r#"{"kind": "cell", "workload": "histo", "policy": "baseline"
 /// One test drives the whole staged lifecycle: the wire documents build
 /// on each other (coalescing needs the created job, the result needs the
 /// completion), and a single `#[test]` keeps the process-global cache
-/// and flight slots deterministic.
+/// slot deterministic.
 #[test]
 fn wire_documents_match_golden_snapshots() {
-    // The metrics document includes cache/flight sections only when the
-    // process-globals are installed; pin both to absent.
+    // The metrics document includes a cache section only when the
+    // process-global cache is installed; pin it to absent.
     set_global_cell_cache(None);
-    set_global_flight(None);
 
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("target")
