@@ -799,21 +799,13 @@ pub fn execute_plan_distributed(
     let listener_thread = {
         let coord = Arc::clone(&coord);
         std::thread::spawn(move || {
-            let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-            for stream in listener.incoming() {
-                if coord.done.load(Ordering::SeqCst) {
-                    break;
-                }
-                match stream {
-                    Ok(stream) => {
-                        let coord = Arc::clone(&coord);
-                        handlers.push(std::thread::spawn(move || serve_connection(stream, &coord)));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(_) => break,
-                }
-                handlers.retain(|h| !h.is_finished());
-            }
+            let serving = Arc::clone(&coord);
+            let (handlers, _) = http::accept_loop(
+                &listener,
+                || coord.done.load(Ordering::SeqCst),
+                Duration::from_secs(10),
+                move |request| route(request, &serving),
+            );
             for h in handlers {
                 let _ = h.join();
             }
@@ -958,7 +950,7 @@ pub fn execute_plan_distributed(
     // poll (each answers `{done}`), then wake the blocking accept with
     // one connection of our own.
     coord.finish();
-    let _ = std::net::TcpStream::connect_timeout(&wake_addr(addr), Duration::from_secs(1));
+    let _ = std::net::TcpStream::connect_timeout(&http::wake_addr(addr), Duration::from_secs(1));
     let _ = listener_thread.join();
 
     // Assembly: every cell goes back through the engine in spec order —
@@ -1048,19 +1040,6 @@ pub fn run_experiment_distributed(
     }
 }
 
-/// Where the coordinator connects to wake its own accept loop: the bound
-/// address, with a wildcard IP replaced by loopback.
-fn wake_addr(bound: std::net::SocketAddr) -> std::net::SocketAddr {
-    let mut addr = bound;
-    if addr.ip().is_unspecified() {
-        addr.set_ip(match addr {
-            std::net::SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
-            std::net::SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
-        });
-    }
-    addr
-}
-
 /// Spawns one `dmdc worker --connect` child, stdout silenced (stdout
 /// belongs to the coordinator's report), stderr shared.
 fn spawn_worker(
@@ -1080,25 +1059,6 @@ fn spawn_worker(
         cmd.arg("--inject-faults").arg(spec);
     }
     cmd.spawn().map_err(|e| e.to_string())
-}
-
-/// Serves one coordinator connection.
-fn serve_connection(mut stream: std::net::TcpStream, coord: &Coord) {
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-    let request = match http::read_request(&mut stream) {
-        Ok(r) => r,
-        Err(e) => {
-            http::respond(
-                &mut stream,
-                e.status(),
-                &format!("{{\"error\": \"{}\"}}\n", json::escape(e.message())),
-            );
-            return;
-        }
-    };
-    let (status, body) = route(&request, coord);
-    http::respond(&mut stream, status, &body);
 }
 
 /// Routes one coordinator request to its `(status, body)`.
@@ -1140,7 +1100,7 @@ fn parse_actor(body: &str) -> Result<(String, Option<usize>), String> {
 fn handle_claim(body: &str, coord: &Coord) -> (u16, String) {
     let (worker, _) = match parse_actor(body) {
         Ok(a) => a,
-        Err(e) => return (400, format!("{{\"error\": \"{}\"}}\n", json::escape(&e))),
+        Err(e) => return (400, http::error_body(&e)),
     };
     coord.touch();
     let mut deadline: Option<Instant> = None;
@@ -1186,7 +1146,7 @@ fn handle_claim(body: &str, coord: &Coord) -> (u16, String) {
 fn handle_heartbeat(body: &str, coord: &Coord) -> (u16, String) {
     let (worker, index) = match parse_actor(body) {
         Ok(a) => a,
-        Err(e) => return (400, format!("{{\"error\": \"{}\"}}\n", json::escape(&e))),
+        Err(e) => return (400, http::error_body(&e)),
     };
     let Some(index) = index.filter(|i| *i < coord.meta.len()) else {
         return (400, "{\"error\": \"`index` out of range\"}\n".to_string());
@@ -1213,7 +1173,7 @@ fn handle_complete(body: &str, coord: &Coord) -> (u16, String) {
     };
     let (worker, index) = match parse_actor(body) {
         Ok(a) => a,
-        Err(e) => return (400, format!("{{\"error\": \"{}\"}}\n", json::escape(&e))),
+        Err(e) => return (400, http::error_body(&e)),
     };
     let Some(index) = index.filter(|i| *i < coord.meta.len()) else {
         return (400, "{\"error\": \"`index` out of range\"}\n".to_string());

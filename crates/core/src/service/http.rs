@@ -7,13 +7,17 @@
 //! and the service's documents are all small). The same module provides
 //! the blocking [`request`] helper the `dmdc submit`/`status`/`metrics`
 //! client subcommands and the black-box test harness use, so both ends
-//! of the wire are pinned by the same code.
+//! of the wire are pinned by the same code, and the blocking
+//! [`accept_loop`] both servers (the daemon and the `--distrib`
+//! coordinator) run.
 
 use std::io::{Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::cache::Fnv64;
+use crate::service::json;
 
 /// Largest request body the server will read. Submissions are tiny;
 /// anything bigger is a confused or hostile client.
@@ -184,6 +188,67 @@ pub fn respond(stream: &mut TcpStream, status: u16, body: &str) {
     let _ = stream.write_all(head.as_bytes());
     let _ = stream.write_all(body.as_bytes());
     let _ = stream.flush();
+}
+
+/// The blocking accept loop of both servers, the daemon and the
+/// `--distrib` coordinator. Each connection gets a thread that reads one
+/// request under `read_timeout`, answers it with `route`'s
+/// `(status, body)` — or a read failure with its structured
+/// 408/413/400 — and closes; finished threads are reaped as it goes, and
+/// no client can pin the loop. `stop` is read before every accept and
+/// after it, so a server ends the loop by raising its flag and then
+/// connecting once to [`wake_addr`]; an accept error ends it too.
+///
+/// Returns the handlers still running, for the caller to join once it
+/// has released whatever they park on, and that accept error.
+pub(crate) fn accept_loop<R>(
+    listener: &TcpListener,
+    stop: impl Fn() -> bool,
+    read_timeout: Duration,
+    route: R,
+) -> (Vec<JoinHandle<()>>, std::io::Result<()>)
+where
+    R: Fn(&Request) -> (u16, String) + Clone + Send + 'static,
+{
+    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
+    while !stop() {
+        match listener.accept() {
+            Ok(_) if stop() => break,
+            Ok((mut stream, _)) => {
+                let route = route.clone();
+                handlers.push(std::thread::spawn(move || {
+                    let _ = stream.set_read_timeout(Some(read_timeout));
+                    let (status, body) = match read_request(&mut stream) {
+                        Ok(request) => route(&request),
+                        Err(e) => (e.status(), error_body(e.message())),
+                    };
+                    respond(&mut stream, status, &body);
+                }));
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return (handlers, Err(e)),
+        }
+        handlers.retain(|h| !h.is_finished());
+    }
+    (handlers, Ok(()))
+}
+
+/// The structured error document every server status ≥ 400 carries.
+pub(crate) fn error_body(message: &str) -> String {
+    format!("{{\"error\": \"{}\"}}\n", json::escape(message))
+}
+
+/// Where a server connects to wake its own blocking [`accept_loop`]: the
+/// bound address, with a wildcard IP replaced by loopback.
+pub(crate) fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let mut addr = bound;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
 }
 
 /// A failed client exchange, flagged with whether retrying could help

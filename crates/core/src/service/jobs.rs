@@ -34,8 +34,8 @@
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
-use std::time::Duration;
+use std::sync::{Condvar, Mutex, PoisonError};
+use std::time::{Duration, Instant};
 
 use dmdc_ooo::{CoreConfig, SampleSpec, SimOptions};
 use dmdc_workloads::{full_suite, Scale, SyntheticKernel, Workload};
@@ -658,15 +658,29 @@ impl JobManager {
                 inner.paused = false;
                 continue;
             }
-            let (guard, _) = self
+            inner = self
                 .work
-                .wait_timeout(inner, Duration::from_millis(100))
-                .map(|(g, t)| (g, t.timed_out()))
-                .unwrap_or_else(|poisoned| {
-                    let (g, t) = poisoned.into_inner();
-                    (g, t.timed_out())
-                });
-            inner = guard;
+                .wait(inner)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Parks until job `id` is done or failed, or `timeout` runs out, on
+    /// the condvar every state change notifies — what a `?wait=` result
+    /// poll blocks on. Returns the job's state then, `None` if unknown.
+    pub fn wait_finished(&self, id: &str, timeout: Duration) -> Option<JobState> {
+        let deadline = Instant::now() + timeout;
+        let mut inner = self.lock();
+        loop {
+            let state = inner.jobs.get(id)?.state;
+            let left = deadline.saturating_duration_since(Instant::now());
+            if matches!(state, JobState::Done | JobState::Failed) || left.is_zero() {
+                return Some(state);
+            }
+            inner = match self.work.wait_timeout(inner, left) {
+                Ok((guard, _)) => guard,
+                Err(poisoned) => poisoned.into_inner().0,
+            };
         }
     }
 
@@ -951,6 +965,53 @@ mod tests {
         m.set_paused(false);
         let order: Vec<String> = (0..3).map(|_| m.next_job().unwrap().0).collect();
         assert_eq!(order, ["job-2", "job-1", "job-3"]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn parked_dispatcher_and_result_polls_wake_on_state_changes() {
+        // No timer backs these waits: each must end on the notify of the
+        // state change it waits for, well inside the 5 s receive bound.
+        // The 50 ms receives assert a waiter is still parked (and give it
+        // time to park) before the change that should wake it.
+        use std::sync::{mpsc, Arc};
+        let bound = Duration::from_secs(5);
+        let parked = Duration::from_millis(50);
+        let (m, dir) = manager("wake", 16);
+        let m = Arc::new(m);
+        let next_job = || {
+            let (tx, rx) = mpsc::channel();
+            let m = Arc::clone(&m);
+            std::thread::spawn(move || tx.send(m.next_job().map(|(id, _)| id)));
+            rx
+        };
+        m.set_paused(true);
+        m.submit(spec("histo"), 100, "c").unwrap(); // job-1
+        let next = next_job();
+        let finished = {
+            let (tx, rx) = mpsc::channel();
+            let m = Arc::clone(&m);
+            std::thread::spawn(move || tx.send(m.wait_finished("job-1", Duration::from_secs(60))));
+            rx
+        };
+        assert!(next.recv_timeout(parked).is_err());
+        m.set_paused(false);
+        assert_eq!(next.recv_timeout(bound).unwrap().as_deref(), Some("job-1"));
+        assert!(finished.recv_timeout(parked).is_err());
+        m.complete("job-1", Ok("{}\n".to_string()));
+        assert_eq!(finished.recv_timeout(bound).unwrap(), Some(JobState::Done));
+
+        let next = next_job();
+        assert!(next.recv_timeout(parked).is_err());
+        m.submit(spec("crc"), 100, "c").unwrap(); // job-2
+        assert_eq!(next.recv_timeout(bound).unwrap().as_deref(), Some("job-2"));
+        m.complete("job-2", Ok("{}\n".to_string()));
+
+        let next = next_job();
+        assert!(next.recv_timeout(parked).is_err());
+        m.begin_drain();
+        assert_eq!(next.recv_timeout(bound).unwrap(), None);
+        assert_eq!(m.wait_finished("job-9", Duration::from_secs(60)), None);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

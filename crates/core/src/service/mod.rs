@@ -11,12 +11,13 @@
 //! Layering:
 //!
 //! * [`json`] — a strict recursive-descent JSON parser + escaper;
-//! * [`http`] — minimal HTTP/1.1 framing, server and client halves;
+//! * [`http`] — minimal HTTP/1.1 framing, the blocking accept loop
+//!   (shared with the `--distrib` coordinator), and the client;
 //! * [`jobs`] — the job model: spec parsing, quota accounting,
 //!   job-level coalescing, sealed-envelope persistence, recovery, and
 //!   execution through the ordinary [`Engine`](crate::runner::Engine);
-//! * this module — the daemon itself: socket loop, routing, dispatcher
-//!   thread, graceful drain on SIGTERM/`POST /shutdown`.
+//! * this module — the daemon itself: routing, the result long-poll,
+//!   the dispatcher thread, graceful drain on SIGTERM/`POST /shutdown`.
 //!
 //! Duplicate work is suppressed by two mechanisms: identical
 //! *submissions* merge onto one queued job (see
@@ -27,41 +28,63 @@
 //!
 //! # Routes
 //!
-//! | Method, path            | Meaning                                       |
-//! |-------------------------|-----------------------------------------------|
-//! | `GET /health`           | liveness probe                                |
-//! | `POST /jobs`            | submit a job (see [`jobs::JobSpec`])          |
-//! | `GET /jobs`             | list all tracked jobs                         |
-//! | `GET /jobs/<id>`        | one job's status document                     |
-//! | `GET /jobs/<id>/result` | the stored result (202 while pending)         |
-//! | `GET /metrics`          | service + cache counters                      |
-//! | `POST /queue/pause`     | stop dispatching (submissions still enqueue)  |
-//! | `POST /queue/resume`    | resume dispatching                            |
-//! | `POST /shutdown`        | graceful drain, then exit                     |
+//! | Method, path                      | Meaning                                      |
+//! |-----------------------------------|----------------------------------------------|
+//! | `GET /health`                     | liveness probe                               |
+//! | `POST /jobs`                      | submit a job (see [`jobs::JobSpec`])         |
+//! | `GET /jobs`                       | list all tracked jobs                        |
+//! | `GET /jobs/<id>`                  | one job's status document                    |
+//! | `GET /jobs/<id>/result`           | the stored result (202 while pending)        |
+//! | `GET /jobs/<id>/result?wait=<ms>` | long-poll: 202 only after `ms` (≤ 60 s)      |
+//! | `GET /metrics`                    | service + cache counters                     |
+//! | `POST /queue/pause`               | stop dispatching (submissions still enqueue) |
+//! | `POST /queue/resume`              | resume dispatching                           |
+//! | `POST /shutdown`                  | graceful drain, then exit                    |
 //!
 //! Status codes are part of the contract: 202 pending result, 404
 //! unknown id, 405 wrong method, 408 stalled client (read deadline),
 //! 409 draining, 413 oversized headers/body, 429 over quota, 500
-//! failed job / internal error.
+//! failed job / internal error. A query on the result route other than
+//! one `wait=<non-negative integer>` is a 400.
 
 pub mod http;
 pub mod jobs;
 pub mod json;
 
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use crate::cache::CellCache;
 use crate::runner;
+use crate::service::http::error_body;
 use crate::service::jobs::{JobManager, JobSpec, JobState, SubmitOutcome};
 
 /// Process-wide stop flag: set by SIGTERM/SIGINT or `POST /shutdown`,
-/// polled by the accept loop. A static because signal handlers can't
-/// carry state.
+/// read by the accept loop after every accept. A static because the
+/// public [`route`] carries no daemon handle.
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
+
+/// Where [`trigger_shutdown`] connects to wake the blocking accept: the
+/// bound address under [`http::wake_addr`]'s rule, set once bound.
+static WAKE: Mutex<Option<SocketAddr>> = Mutex::new(None);
+
+/// The longest a `?wait=` result poll parks, inside the HTTP client's
+/// 120 s read timeout.
+const MAX_RESULT_WAIT: Duration = Duration::from_secs(60);
+
+/// Both shutdown triggers end here: raise the stop flag, then connect
+/// once to the daemon's own listener so the blocked `accept` returns and
+/// reads it.
+fn trigger_shutdown() {
+    SHUTDOWN.store(true, Ordering::SeqCst);
+    let wake = *WAKE.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(addr) = wake {
+        let _ = TcpStream::connect(addr);
+    }
+}
 
 /// Configuration for one [`serve`] call.
 #[derive(Debug, Clone)]
@@ -88,22 +111,57 @@ impl Default for ServeOptions {
     }
 }
 
+/// SIGTERM and SIGINT, turned into an ordinary thread: both signals are
+/// blocked in the calling thread — and so in every thread it spawns
+/// after this — and one thread takes them with `sigwait`, then runs
+/// [`trigger_shutdown`] outside signal context. Call before spawning any
+/// thread; a signal that arrives early stays pending until the waiter
+/// takes it. (`std::process::Command` resets the mask in children.) The
+/// waiter is detached: it lives until a signal comes or the process
+/// exits.
 #[cfg(unix)]
-fn install_signal_handlers() {
-    extern "C" fn on_term(_sig: i32) {
-        SHUTDOWN.store(true, Ordering::SeqCst);
-    }
+fn handle_shutdown_signals() -> Result<(), String> {
+    /// Large enough for every libc's `sigset_t` (glibc's is 128 bytes).
+    #[repr(C)]
+    struct SigSet([u64; 16]);
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    const SIG_BLOCK: i32 = 0;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    const SIG_BLOCK: i32 = 1;
     unsafe extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
+        fn sigemptyset(set: *mut SigSet) -> i32;
+        fn sigaddset(set: *mut SigSet, signum: i32) -> i32;
+        fn pthread_sigmask(how: i32, set: *const SigSet, old: *mut SigSet) -> i32;
+        fn sigwait(set: *const SigSet, sig: *mut i32) -> i32;
     }
-    unsafe {
-        signal(15, on_term as extern "C" fn(i32) as usize); // SIGTERM
-        signal(2, on_term as extern "C" fn(i32) as usize); // SIGINT
+    let mut set = SigSet([0; 16]);
+    // SAFETY: `set` is a live, writable buffer at least as large as the
+    // platform's `sigset_t`, and 15 and 2 are valid signal numbers; a
+    // null `old` asks for no copy of the previous mask.
+    let blocked = unsafe {
+        sigemptyset(&mut set);
+        sigaddset(&mut set, 15); // SIGTERM
+        sigaddset(&mut set, 2); // SIGINT
+        pthread_sigmask(SIG_BLOCK, &set, std::ptr::null_mut())
+    };
+    if blocked != 0 {
+        return Err(format!("pthread_sigmask failed ({blocked})"));
     }
+    std::thread::spawn(move || {
+        let mut sig = 0;
+        // SAFETY: `set` was initialised above and is owned by this
+        // closure; `sig` is a writable `int`.
+        if unsafe { sigwait(&set, &mut sig) } == 0 {
+            trigger_shutdown();
+        }
+    });
+    Ok(())
 }
 
 #[cfg(not(unix))]
-fn install_signal_handlers() {}
+fn handle_shutdown_signals() -> Result<(), String> {
+    Ok(())
+}
 
 /// Runs the daemon until a graceful shutdown completes. Installs the
 /// process-wide cell cache (under `state_dir/cache`, unless one is
@@ -112,7 +170,7 @@ fn install_signal_handlers() {}
 /// SIGTERM/SIGINT or `POST /shutdown` drains the queue.
 pub fn serve(opts: &ServeOptions) -> Result<(), String> {
     SHUTDOWN.store(false, Ordering::SeqCst);
-    install_signal_handlers();
+    handle_shutdown_signals()?;
 
     if runner::global_cell_cache().is_none() {
         runner::set_global_cell_cache(Some(Arc::new(CellCache::new(opts.state_dir.join("cache")))));
@@ -124,7 +182,7 @@ pub fn serve(opts: &ServeOptions) -> Result<(), String> {
 
     let listener = TcpListener::bind(&opts.addr).map_err(|e| format!("{}: {e}", opts.addr))?;
     let addr = listener.local_addr().map_err(|e| e.to_string())?;
-    listener.set_nonblocking(true).map_err(|e| e.to_string())?;
+    *WAKE.lock().unwrap_or_else(PoisonError::into_inner) = Some(http::wake_addr(addr));
     println!("dmdc serve: listening on {addr}");
     println!(
         "dmdc serve: state dir {} ({recovered} job(s) recovered)",
@@ -155,54 +213,25 @@ pub fn serve(opts: &ServeOptions) -> Result<(), String> {
         })
     };
 
-    let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !SHUTDOWN.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let manager = Arc::clone(&manager);
-                handlers.push(std::thread::spawn(move || handle(stream, &manager)));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(format!("accept: {e}")),
-        }
-        handlers.retain(|h| !h.is_finished());
-    }
+    let serving = Arc::clone(&manager);
+    let (handlers, accepted) = http::accept_loop(
+        &listener,
+        || SHUTDOWN.load(Ordering::SeqCst),
+        Duration::from_secs(30),
+        move |request| route(request, &serving),
+    );
 
     // Graceful drain: stop accepting, finish every queued job, persist
-    // every result, then exit.
+    // every result, then exit. Draining wakes every parked result poll,
+    // and each returns once its job is done.
     manager.begin_drain();
     for h in handlers {
         let _ = h.join();
     }
     dispatcher.join().map_err(|_| "dispatcher panicked")?;
+    accepted.map_err(|e| format!("accept: {e}"))?;
     println!("dmdc serve: drained, exiting");
     Ok(())
-}
-
-/// Serves one connection: read a request, route it, write one response.
-/// The per-connection read deadline plus the size caps in
-/// [`http::read_request`] mean one slow, stalled or oversized client
-/// costs a handler thread at most 30 seconds, answered with a structured
-/// 408/413/400 — it can never pin the accept loop.
-fn handle(mut stream: TcpStream, manager: &JobManager) {
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-    let request = match http::read_request(&mut stream) {
-        Ok(r) => r,
-        Err(e) => {
-            http::respond(&mut stream, e.status(), &error_body(e.message()));
-            return;
-        }
-    };
-    let (status, body) = route(&request, manager);
-    http::respond(&mut stream, status, &body);
-}
-
-fn error_body(message: &str) -> String {
-    format!("{{\"error\": \"{}\"}}\n", json::escape(message))
 }
 
 /// Routes one request to its `(status, body)`. Public so tests can pin
@@ -224,7 +253,7 @@ pub fn route(request: &http::Request, manager: &JobManager) -> (u16, String) {
             (200, "{\"paused\": false}\n".to_string())
         }
         ("POST", "/shutdown") => {
-            SHUTDOWN.store(true, Ordering::SeqCst);
+            trigger_shutdown();
             (200, "{\"draining\": true}\n".to_string())
         }
         ("GET", _) if path.starts_with("/jobs/") => job_route(path, manager),
@@ -313,11 +342,19 @@ fn list_jobs(manager: &JobManager) -> (u16, String) {
     (200, out)
 }
 
-/// `GET /jobs/<id>` and `GET /jobs/<id>/result`.
+/// `GET /jobs/<id>` and `GET /jobs/<id>/result[?wait=<ms>]`.
 fn job_route(path: &str, manager: &JobManager) -> (u16, String) {
     let rest = &path["/jobs/".len()..];
-    if let Some(id) = rest.strip_suffix("/result") {
-        return match manager.state(id) {
+    let (target, query) = match rest.split_once('?') {
+        Some((target, query)) => (target, Some(query)),
+        None => (rest, None),
+    };
+    if let Some(id) = target.strip_suffix("/result") {
+        let wait = match result_wait(query) {
+            Ok(wait) => wait,
+            Err(e) => return (400, error_body(&e)),
+        };
+        return match manager.wait_finished(id, wait) {
             None => (404, error_body(&format!("unknown job `{id}`"))),
             Some(JobState::Queued | JobState::Running) => {
                 (202, manager.status_json(id).unwrap_or_default())
@@ -333,6 +370,24 @@ fn job_route(path: &str, manager: &JobManager) -> (u16, String) {
         Some(status) => (200, status),
         None => (404, error_body(&format!("unknown job `{rest}`"))),
     }
+}
+
+/// The long-poll bound of a result request: zero without a query, the
+/// `wait=<ms>` value capped at [`MAX_RESULT_WAIT`], or an error for any
+/// other query (another key, several pairs, a value that is not a
+/// non-negative integer that fits in a `u64`).
+fn result_wait(query: Option<&str>) -> Result<Duration, String> {
+    let Some(query) = query else {
+        return Ok(Duration::ZERO);
+    };
+    query
+        .strip_prefix("wait=")
+        .filter(|ms| ms.bytes().all(|b| b.is_ascii_digit()))
+        .and_then(|ms| ms.parse().ok())
+        .map(|ms| Duration::from_millis(ms).min(MAX_RESULT_WAIT))
+        .ok_or_else(|| {
+            format!("bad query `{query}`: the result route takes only `wait=<milliseconds>`")
+        })
 }
 
 /// `GET /metrics`: service, queue and cache counters in one document.

@@ -166,7 +166,7 @@ restarts with its unfinished queue intact and reproduces the same
 results. SIGTERM (or POST /shutdown) drains the queue gracefully.
 `dmdc submit/status/metrics` are the matching client commands; they
 read --addr or the DMDC_ADDR environment variable (default
-127.0.0.1:8181). `submit --wait` polls until the result is ready and
+127.0.0.1:8181). `submit --wait` long-polls until the result is ready and
 prints it.
 
 --profile reports a per-stage host-time breakdown, the event-horizon
@@ -1066,7 +1066,7 @@ fn server_addr(flags: &std::collections::HashMap<String, String>) -> String {
 
 /// `dmdc submit`: build the submission document from the same flags
 /// `dmdc run`/`experiment` take, POST it, print the server's reply (and
-/// with `--wait`, poll until the result is ready and print that).
+/// with `--wait`, long-poll until the result is ready and print that).
 fn cmd_submit(args: &[String]) -> Result<(), String> {
     let flags = parse_flags(args)?;
     let addr = server_addr(&flags);
@@ -1115,8 +1115,9 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
     // With `--wait` the whole interaction runs under one deadline
     // (`--max-wait`, seconds): connection refused/reset retries with
     // jittered exponential backoff instead of failing on the first
-    // blip, and a job that is still pending at the deadline ends with a
-    // clear terminal error rather than polling forever.
+    // blip, each result request long-polls (`?wait=`, which the daemon
+    // caps at 60 s) for what is left of the deadline, and a job that is
+    // still pending at the deadline ends with a clear terminal error.
     let wait = flags.contains_key("wait");
     let max_wait = Duration::from_secs(match flags.get("max-wait") {
         Some(s) => {
@@ -1160,10 +1161,10 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
         .to_string();
     loop {
         let left = remaining(&format!("job {id} still pending"))?;
-        let (status, payload) =
-            http::request_with_retry(&addr, "GET", &format!("/jobs/{id}/result"), None, left)?;
+        let path = format!("/jobs/{id}/result?wait={}", left.as_millis());
+        let (status, payload) = http::request_with_retry(&addr, "GET", &path, None, left)?;
         match status {
-            202 => std::thread::sleep(Duration::from_millis(200)),
+            202 => {}
             200 => {
                 print!("{payload}");
                 return Ok(());

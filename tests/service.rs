@@ -2,12 +2,15 @@
 //! boot the daemon on an ephemeral port, drive it over HTTP, and prove
 //! the service contract — submit/poll/fetch, coalescing of identical
 //! submissions onto one job, cell sharing across distinct jobs through
-//! the cache, structured quota rejection, graceful drain, and
-//! kill-9-then-restart recovery with byte-identical results.
+//! the cache, structured quota rejection, graceful drain on
+//! `POST /shutdown` and on SIGTERM, and kill-9-then-restart recovery
+//! with byte-identical results. Nothing here sleeps to synchronise:
+//! results are long-polled and exits are awaited on a channel.
 
 use std::io::BufRead;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use dmdc::core::service::http;
@@ -26,7 +29,7 @@ fn state_dir(name: &str) -> PathBuf {
 /// One running daemon. Killed on drop so a failing test can't leak a
 /// listener.
 struct Daemon {
-    child: Child,
+    child: Option<Child>,
     addr: String,
 }
 
@@ -62,7 +65,10 @@ impl Daemon {
                 break addr.trim().to_string();
             }
         };
-        Daemon { child, addr }
+        Daemon {
+            child: Some(child),
+            addr,
+        }
     }
 
     fn post(&self, path: &str, body: &str) -> (u16, String) {
@@ -73,17 +79,19 @@ impl Daemon {
         http::request(&self.addr, "GET", path, None).expect("GET")
     }
 
-    /// Polls `/jobs/<id>/result` until it leaves 202, returning the
-    /// final `(status, payload)`.
+    /// Long-polls `/jobs/<id>/result?wait=` until it leaves 202 (one
+    /// request unless the job outlasts the daemon's 60 s cap), returning
+    /// the final `(status, payload)`.
     fn await_result(&self, id: &str) -> (u16, String) {
         let deadline = Instant::now() + Duration::from_secs(120);
         loop {
-            let (status, payload) = self.get(&format!("/jobs/{id}/result"));
+            let left = deadline.saturating_duration_since(Instant::now());
+            assert!(!left.is_zero(), "job {id} never finished");
+            let (status, payload) =
+                self.get(&format!("/jobs/{id}/result?wait={}", left.as_millis()));
             if status != 202 {
                 return (status, payload);
             }
-            assert!(Instant::now() < deadline, "job {id} never finished");
-            std::thread::sleep(Duration::from_millis(50));
         }
     }
 
@@ -104,14 +112,39 @@ impl Daemon {
     }
 
     /// Graceful shutdown; returns true if the process exited cleanly.
-    fn shutdown(mut self) -> bool {
+    fn shutdown(self) -> bool {
         let _ = self.post("/shutdown", "");
-        let deadline = Instant::now() + Duration::from_secs(60);
-        loop {
-            match self.child.try_wait().expect("wait on daemon") {
-                Some(status) => return status.success(),
-                None if Instant::now() > deadline => return false,
-                None => std::thread::sleep(Duration::from_millis(20)),
+        self.await_exit()
+    }
+
+    /// Graceful shutdown by SIGTERM, as an init system sends it.
+    fn terminate(self) -> bool {
+        let pid = self.child.as_ref().expect("daemon running").id();
+        let sent = Command::new("kill")
+            .args(["-TERM", &pid.to_string()])
+            .status()
+            .expect("run kill");
+        assert!(sent.success(), "kill -TERM {pid}");
+        self.await_exit()
+    }
+
+    /// Waits up to 60 s for the daemon to exit; true if it exited
+    /// cleanly. The wait runs on a helper thread so the bound is a
+    /// channel timeout; past it the daemon is killed by pid.
+    fn await_exit(mut self) -> bool {
+        let mut child = self.child.take().expect("daemon running");
+        let pid = child.id();
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(child.wait());
+        });
+        match rx.recv_timeout(Duration::from_secs(60)) {
+            Ok(status) => status.expect("wait on daemon").success(),
+            Err(_) => {
+                let _ = Command::new("kill")
+                    .args(["-KILL", &pid.to_string()])
+                    .status();
+                false
             }
         }
     }
@@ -119,8 +152,10 @@ impl Daemon {
 
 impl Drop for Daemon {
     fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
+        if let Some(child) = self.child.as_mut() {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
     }
 }
 
@@ -364,16 +399,30 @@ fn kill9_then_restart_resumes_jobs_byte_identically() {
 
 #[test]
 fn graceful_drain_finishes_queued_jobs_before_exit() {
-    let state = state_dir("dmdc-service-drain");
-    let daemon = Daemon::boot(&state, &["--paused"]);
-    assert_eq!(daemon.post("/jobs", &cell_body("histo", "d")).0, 200);
-    assert_eq!(daemon.post("/jobs", &cell_body("crc", "d")).0, 200);
+    // Shutdown with the queue paused and full, by `POST /shutdown` and by
+    // SIGTERM: drain must override the pause, run both jobs, persist both
+    // results, then exit cleanly. The daemon blocks in `accept` with no
+    // timer, so SIGTERM must wake it (its signal thread connects to the
+    // listener).
+    for by_signal in [false, true] {
+        let state = state_dir(if by_signal {
+            "dmdc-service-sigterm"
+        } else {
+            "dmdc-service-drain"
+        });
+        let daemon = Daemon::boot(&state, &["--paused"]);
+        assert_eq!(daemon.post("/jobs", &cell_body("histo", "d")).0, 200);
+        assert_eq!(daemon.post("/jobs", &cell_body("crc", "d")).0, 200);
 
-    // Shutdown with the queue paused and full: drain must override the
-    // pause, run both jobs, persist both results, then exit cleanly.
-    assert!(daemon.shutdown(), "drain exits cleanly");
-    for id in ["job-1", "job-2"] {
-        let path = state.join("results").join(format!("{id}.result"));
-        assert!(path.is_file(), "{id} result persisted during drain");
+        let clean = if by_signal {
+            daemon.terminate()
+        } else {
+            daemon.shutdown()
+        };
+        assert!(clean, "drain exits cleanly (by SIGTERM: {by_signal})");
+        for id in ["job-1", "job-2"] {
+            let path = state.join("results").join(format!("{id}.result"));
+            assert!(path.is_file(), "{id} result persisted during drain");
+        }
     }
 }

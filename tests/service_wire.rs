@@ -114,6 +114,13 @@ fn wire_documents_match_golden_snapshots() {
     assert_eq!(status, 202);
     check("result-pending.json", &pending);
 
+    // A long-poll that runs out on the paused queue answers with the
+    // same pending document, byte for byte.
+    let (status, timed_out) = get(&manager, "/jobs/job-1/result?wait=20");
+    assert_eq!(status, 202);
+    assert_eq!(timed_out, pending);
+    check("result-wait-timeout.json", &timed_out);
+
     // The stored result for the real simulation: the same report JSON
     // the CLI's `--format json` emits, fetched through the result route.
     let spec = manager_spec();
@@ -122,6 +129,15 @@ fn wire_documents_match_golden_snapshots() {
     let (status, result) = get(&manager, "/jobs/job-1/result");
     assert_eq!(status, 200);
     check("result-cell.json", &result);
+
+    // A long-poll on a finished job returns the stored payload at once.
+    let started = std::time::Instant::now();
+    let (status, waited) = get(&manager, "/jobs/job-1/result?wait=60000");
+    assert_eq!((status, waited.as_str()), (200, result.as_str()));
+    assert!(
+        started.elapsed() < std::time::Duration::from_secs(5),
+        "a finished job's long-poll must not park"
+    );
 
     // A failed job stores a structured error document, served as a 500.
     manager.complete(
@@ -207,6 +223,30 @@ fn hostile_bodies_return_structured_errors() {
             reply.starts_with("{\"error\": "),
             "{method} {path} must produce a structured error, got {reply:?}"
         );
+    }
+
+    // Result-route queries other than one `wait=<ms>`: a structured 400,
+    // answered before any waiting, never a panic.
+    assert_eq!(post(&manager, CELL).0, 200);
+    let bad_queries = [
+        "wait=abc",
+        "wait=-1",
+        "wait=99999999999999999999",
+        "foo=1",
+        "wait=",
+        "wait=5&wait=6",
+        "wait=+5",
+    ];
+    for query in bad_queries {
+        for id in ["job-1", "job-999"] {
+            let path = format!("/jobs/{id}/result?{query}");
+            let (status, reply) = get(&manager, &path);
+            assert_eq!(status, 400, "{path} must be a 400, got {reply:?}");
+            assert!(
+                reply.starts_with("{\"error\": "),
+                "{path} must produce a structured error, got {reply:?}"
+            );
+        }
     }
 
     let _ = std::fs::remove_dir_all(&dir);
