@@ -65,6 +65,14 @@ pub fn default_cache_dir() -> PathBuf {
     PathBuf::from("target").join("dmdc-cache")
 }
 
+/// The default root for `--run-id` run records, `target/dmdc-runs/`
+/// under the current working directory: each run's sealed manifest,
+/// sampled cells' partial-progress envelopes, distributed lease records
+/// and, under `--no-cache`, a run-private cell store.
+pub fn default_runs_dir() -> PathBuf {
+    PathBuf::from("target").join("dmdc-runs")
+}
+
 /// Streaming 64-bit FNV-1a. Deterministic across processes and builds —
 /// unlike `std`'s `DefaultHasher`, whose algorithm is unspecified — which
 /// is what makes the keys stable enough to persist.
@@ -232,7 +240,8 @@ pub fn workload_digest(w: &Workload) -> u64 {
     h.finish()
 }
 
-/// Hit/miss/store/integrity counters of one [`CellCache`].
+/// Hit/miss/store/integrity counters of one [`CellCache`] or
+/// [`CheckpointStore`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheCounters {
     /// Lookups served from disk (simulation skipped).
@@ -249,10 +258,15 @@ pub struct CacheCounters {
     pub quarantined: u64,
 }
 
-/// A content-addressed, persistent store of verified [`CellResult`]s.
+/// The sealed-file core both stores (and sampled runs' partial-progress
+/// envelopes) are built on: one directory of `<key>.<ext>` files, each a
+/// [`seal`]ed body written via tmp + rename, verified before it is
+/// decoded, quarantined to `quarantine/` when damaged or stale, and
+/// counted.
 #[derive(Debug)]
-pub struct CellCache {
+pub(crate) struct SealedDir {
     dir: PathBuf,
+    ext: &'static str,
     fingerprint: String,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -261,18 +275,12 @@ pub struct CellCache {
     quarantined: AtomicU64,
 }
 
-impl CellCache {
-    /// A cache rooted at `dir` with the default simulator fingerprint.
-    pub fn new(dir: impl Into<PathBuf>) -> CellCache {
-        CellCache::with_fingerprint(dir, default_fingerprint())
-    }
-
-    /// A cache rooted at `dir` keying on an explicit fingerprint (tests
-    /// use this to prove that bumping the fingerprint re-runs every cell).
-    pub fn with_fingerprint(dir: impl Into<PathBuf>, fingerprint: impl Into<String>) -> CellCache {
-        CellCache {
-            dir: dir.into(),
-            fingerprint: fingerprint.into(),
+impl SealedDir {
+    pub(crate) fn new(dir: PathBuf, ext: &'static str, fingerprint: String) -> SealedDir {
+        SealedDir {
+            dir,
+            ext,
+            fingerprint,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             stores: AtomicU64::new(0),
@@ -281,63 +289,54 @@ impl CellCache {
         }
     }
 
-    /// The cache's root directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The cell key for a (workload digest, spec description) pair.
-    pub fn key(&self, workload_digest: u64, spec_desc: &str) -> u64 {
+    /// A hasher seeded with `fingerprint ‖ workload digest`, the prefix
+    /// every key starts with.
+    pub(crate) fn hasher(&self, workload_digest: u64) -> Fnv64 {
         let mut h = Fnv64::new();
         h.write(self.fingerprint.as_bytes());
         h.write_u64(workload_digest);
-        h.write(spec_desc.as_bytes());
-        h.finish()
+        h
     }
 
-    fn path_of(&self, key: u64) -> PathBuf {
-        self.dir.join(format!("{key:016x}.cell"))
+    fn name_of(&self, key: u64) -> String {
+        format!("{key:016x}.{}", self.ext)
     }
 
-    /// Where rejected entries are preserved for post-mortem inspection.
-    pub fn quarantine_dir(&self) -> PathBuf {
-        self.dir.join("quarantine")
-    }
-
-    /// Moves a rejected entry aside (best-effort: falls back to deleting
-    /// it so a broken file can never be consulted twice) and records the
-    /// rejection.
-    fn quarantine(&self, path: &Path, reason: &str) {
+    /// Moves a rejected entry into `quarantine/` (best-effort: deletes it
+    /// when the move fails, so a broken file can never be consulted
+    /// twice) and records the rejection in the recovery ledger.
+    fn quarantine(&self, key: u64, reason: &str) {
         self.corrupt.fetch_add(1, Ordering::Relaxed);
-        if quarantine_into(&self.quarantine_dir(), path, reason) {
+        let name = self.name_of(key);
+        let qdir = self.dir.join("quarantine");
+        let path = self.dir.join(&name);
+        if std::fs::create_dir_all(&qdir).is_ok()
+            && std::fs::rename(&path, qdir.join(&name)).is_ok()
+        {
             self.quarantined.fetch_add(1, Ordering::Relaxed);
+        } else {
+            let _ = std::fs::remove_file(&path);
         }
+        recovery::record(RecoveryKind::CacheQuarantined, name, reason);
     }
 
-    /// Looks up a cell. The sealed envelope is verified before any
-    /// deserialization; corrupt, truncated, version-mismatched or stale
-    /// (schema/workload-mismatched) entries are quarantined and degrade
-    /// to misses, so the cell regenerates. `expected_workload` guards
-    /// against the astronomically unlikely key collision (and mislabeled
-    /// files placed by hand).
-    pub fn load(&self, key: u64, expected_workload: &str) -> Option<CellResult> {
-        let path = self.path_of(key);
-        let loaded = match std::fs::read_to_string(&path) {
-            Err(_) => None, // absent (or unreadable): a plain miss
+    /// Reads entry `key`: absent is a plain miss; a failed seal or a body
+    /// `decode` rejects (a stale schema or a mislabeled record) is
+    /// quarantined and also a miss.
+    pub(crate) fn load<T>(&self, key: u64, decode: impl FnOnce(&str) -> Option<T>) -> Option<T> {
+        let loaded = match std::fs::read_to_string(self.dir.join(self.name_of(key))) {
+            Err(_) => None,
             Ok(text) => match unseal(&text) {
                 Err(e) => {
-                    self.quarantine(&path, e.label());
+                    self.quarantine(key, e.label());
                     None
                 }
                 Ok(body) => {
-                    let cell = CellResult::from_record(body)
-                        .filter(|cell| cell.workload == expected_workload);
-                    if cell.is_none() {
-                        // Checksum-valid but undeserializable: a stale
-                        // schema or a mislabeled record.
-                        self.quarantine(&path, "stale-record");
+                    let value = decode(body);
+                    if value.is_none() {
+                        self.quarantine(key, "stale-record");
                     }
-                    cell
+                    value
                 }
             },
         };
@@ -348,23 +347,27 @@ impl CellCache {
         loaded
     }
 
-    /// Persists a freshly computed cell, sealed and via tmp+rename.
-    /// I/O failures are swallowed: a cache that cannot write (read-only
-    /// checkout, full disk) costs a re-simulation later, never a wrong
+    /// Persists `body` as entry `key`, sealed and via tmp + rename. I/O
+    /// failures are swallowed: a store that cannot write (read-only
+    /// checkout, full disk) costs recomputation later, never a wrong
     /// result now.
-    pub fn store(&self, key: u64, cell: &CellResult) {
+    pub(crate) fn store(&self, key: u64, body: &str) {
         if std::fs::create_dir_all(&self.dir).is_err() {
             return;
         }
-        let path = self.path_of(key);
-        if write_sealed(&path, &cell.to_record(), tmp_tag(key)) {
+        let path = self.dir.join(self.name_of(key));
+        if write_sealed(&path, body, tmp_tag(key)) {
             self.stores.fetch_add(1, Ordering::Relaxed);
-            crate::faults::on_cache_entry_written(&path);
+            crate::faults::on_sealed_write(&path);
         }
     }
 
-    /// Counters since this cache handle was created.
-    pub fn counters(&self) -> CacheCounters {
+    /// Deletes entry `key` (best-effort).
+    pub(crate) fn remove(&self, key: u64) {
+        let _ = std::fs::remove_file(self.dir.join(self.name_of(key)));
+    }
+
+    fn counters(&self) -> CacheCounters {
         CacheCounters {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -375,26 +378,62 @@ impl CellCache {
     }
 }
 
-/// Shared quarantine mechanics: move the rejected file into `qdir`
-/// (best-effort — delete it when the move fails, so a broken file can
-/// never be consulted twice) and record the rejection in the recovery
-/// ledger. Returns whether the move succeeded.
-fn quarantine_into(qdir: &Path, path: &Path, reason: &str) -> bool {
-    let moved = std::fs::create_dir_all(qdir).is_ok()
-        && path
-            .file_name()
-            .is_some_and(|name| std::fs::rename(path, qdir.join(name)).is_ok());
-    if !moved {
-        let _ = std::fs::remove_file(path);
+/// A content-addressed, persistent store of verified [`CellResult`]s,
+/// one `<key>.cell` file per cell.
+#[derive(Debug)]
+pub struct CellCache(SealedDir);
+
+impl CellCache {
+    /// A cache rooted at `dir` with the default simulator fingerprint.
+    pub fn new(dir: impl Into<PathBuf>) -> CellCache {
+        CellCache::with_fingerprint(dir, default_fingerprint())
     }
-    recovery::record(
-        RecoveryKind::CacheQuarantined,
-        path.file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| path.display().to_string()),
-        reason,
-    );
-    moved
+
+    /// A cache rooted at `dir` keying on an explicit fingerprint (tests
+    /// use this to prove that bumping the fingerprint re-runs every cell).
+    pub fn with_fingerprint(dir: impl Into<PathBuf>, fingerprint: impl Into<String>) -> CellCache {
+        CellCache(SealedDir::new(dir.into(), "cell", fingerprint.into()))
+    }
+
+    /// The cache's root directory.
+    pub fn dir(&self) -> &Path {
+        &self.0.dir
+    }
+
+    /// The cell key for a (workload digest, spec description) pair.
+    pub fn key(&self, workload_digest: u64, spec_desc: &str) -> u64 {
+        self.0
+            .hasher(workload_digest)
+            .write(spec_desc.as_bytes())
+            .finish()
+    }
+
+    /// Where rejected entries are preserved for post-mortem inspection.
+    pub fn quarantine_dir(&self) -> PathBuf {
+        self.0.dir.join("quarantine")
+    }
+
+    /// Looks up a cell. The sealed envelope is verified before any
+    /// deserialization; corrupt, truncated, version-mismatched or stale
+    /// (schema/workload-mismatched) entries are quarantined and degrade
+    /// to misses, so the cell regenerates. `expected_workload` guards
+    /// against the astronomically unlikely key collision (and mislabeled
+    /// files placed by hand).
+    pub fn load(&self, key: u64, expected_workload: &str) -> Option<CellResult> {
+        self.0.load(key, |body| {
+            CellResult::from_record(body).filter(|cell| cell.workload == expected_workload)
+        })
+    }
+
+    /// Persists a freshly computed cell.
+    pub fn store(&self, key: u64, cell: &CellResult) {
+        self.0.store(key, &cell.to_record());
+    }
+
+    /// Counters since this cache handle was created.
+    pub fn counters(&self) -> CacheCounters {
+        self.0.counters()
+    }
 }
 
 /// Format-version line of a persisted sampling checkpoint body. Bumping
@@ -422,20 +461,12 @@ const CKPT_MAGIC: &str = "dmdc-ckpt v1";
 /// a fully warm run no fast-forward happens at all.
 ///
 /// Files live under `checkpoints/` beside the cell cache, one per key
-/// (`<key>.ckpt`), wrapped in the same [`seal`] envelope and held to the
-/// same discipline: verify before deserializing, quarantine anything
-/// damaged or stale to `checkpoints/quarantine/`, and regenerate
-/// transparently (the fast-forward simply runs).
+/// (`<key>.ckpt`), on the same sealed-file core as [`CellCache`]: verify
+/// before deserializing, quarantine anything damaged or stale to
+/// `checkpoints/quarantine/`, and regenerate transparently (the
+/// fast-forward simply runs).
 #[derive(Debug)]
-pub struct CheckpointStore {
-    dir: PathBuf,
-    fingerprint: String,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    stores: AtomicU64,
-    corrupt: AtomicU64,
-    quarantined: AtomicU64,
-}
+pub struct CheckpointStore(SealedDir);
 
 impl CheckpointStore {
     /// A store under `root` (the cache root — checkpoints live in its
@@ -450,105 +481,45 @@ impl CheckpointStore {
         root: impl Into<PathBuf>,
         fingerprint: impl Into<String>,
     ) -> CheckpointStore {
-        CheckpointStore {
-            dir: root.into().join("checkpoints"),
-            fingerprint: fingerprint.into(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            stores: AtomicU64::new(0),
-            corrupt: AtomicU64::new(0),
-            quarantined: AtomicU64::new(0),
-        }
+        let dir = root.into().join("checkpoints");
+        CheckpointStore(SealedDir::new(dir, "ckpt", fingerprint.into()))
     }
 
     /// The store's directory (`<cache-root>/checkpoints`).
     pub fn dir(&self) -> &Path {
-        &self.dir
+        &self.0.dir
     }
 
     /// The key for one window's checkpoint. `sample_desc` must render
     /// every input the checkpoint depends on besides the program: core
     /// config, sampling spec, population and warming horizon.
     pub fn key(&self, workload_digest: u64, sample_desc: &str, window: u32) -> u64 {
-        let mut h = Fnv64::new();
-        h.write(self.fingerprint.as_bytes());
-        h.write_u64(workload_digest);
-        h.write(sample_desc.as_bytes());
-        h.write_u64(window as u64);
-        h.finish()
+        self.0
+            .hasher(workload_digest)
+            .write(sample_desc.as_bytes())
+            .write_u64(window as u64)
+            .finish()
     }
 
-    fn path_of(&self, key: u64) -> PathBuf {
-        self.dir.join(format!("{key:016x}.ckpt"))
-    }
-
-    /// Where rejected checkpoints are preserved for post-mortem
-    /// inspection.
-    pub fn quarantine_dir(&self) -> PathBuf {
-        self.dir.join("quarantine")
-    }
-
-    fn quarantine(&self, path: &Path, reason: &str) {
-        self.corrupt.fetch_add(1, Ordering::Relaxed);
-        if quarantine_into(&self.quarantine_dir(), path, reason) {
-            self.quarantined.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Looks up window `window`'s checkpoint. The sealed envelope is
-    /// verified before any deserialization; damaged or stale entries
+    /// Looks up window `window`'s checkpoint. Damaged or stale entries
     /// (wrong magic, wrong workload, undecodable body, window mismatch)
     /// are quarantined and degrade to misses, so the fast-forward simply
     /// re-runs.
     pub fn load(&self, key: u64, expected_workload: &str, window: u32) -> Option<Checkpoint> {
-        let path = self.path_of(key);
-        let loaded = match std::fs::read_to_string(&path) {
-            Err(_) => None, // absent (or unreadable): a plain miss
-            Ok(text) => match unseal(&text) {
-                Err(e) => {
-                    self.quarantine(&path, e.label());
-                    None
-                }
-                Ok(body) => {
-                    let ck = decode_checkpoint_body(body, expected_workload, window);
-                    if ck.is_none() {
-                        self.quarantine(&path, "stale-record");
-                    }
-                    ck
-                }
-            },
-        };
-        match &loaded {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        loaded
+        self.0.load(key, |body| {
+            decode_checkpoint_body(body, expected_workload, window)
+        })
     }
 
-    /// Persists a freshly captured checkpoint, sealed and via tmp+rename.
-    /// I/O failures are swallowed: a store that cannot write costs a
-    /// re-fast-forward later, never a wrong result now.
+    /// Persists a freshly captured checkpoint.
     pub fn store(&self, key: u64, workload: &str, checkpoint: &Checkpoint) {
-        if std::fs::create_dir_all(&self.dir).is_err() {
-            return;
-        }
         let body = format!("{CKPT_MAGIC}\nworkload {workload}\n{}", checkpoint.encode());
-        let path = self.path_of(key);
-        if write_sealed(&path, &body, tmp_tag(key)) {
-            self.stores.fetch_add(1, Ordering::Relaxed);
-            crate::faults::on_cache_entry_written(&path);
-        }
+        self.0.store(key, &body);
     }
 
     /// Counters since this store handle was created.
     pub fn counters(&self) -> CacheCounters {
-        CacheCounters {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            stores: self.stores.load(Ordering::Relaxed),
-            corrupt: self.corrupt.load(Ordering::Relaxed),
-            quarantined: self.quarantined.load(Ordering::Relaxed),
-        }
+        self.0.counters()
     }
 }
 

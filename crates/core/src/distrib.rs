@@ -14,7 +14,7 @@
 //!
 //! * **`GET /plan`** — the plan descriptor (experiment id or suite
 //!   parameters), the simulator fingerprint (a mismatched worker refuses
-//!   to participate, exactly like journal resume) and the shared cache
+//!   to participate, exactly like `--resume` does) and the shared cache
 //!   directory. Workers rebuild the *identical* spec list locally from
 //!   the descriptor — specs never travel over the wire.
 //! * **`POST /claim`** — a lease `{index, attempt, ttl_ms}`, or `{done}`.
@@ -39,15 +39,15 @@
 //! lost, or anything in between.
 //!
 //! The final report is assembled by running every cell through
-//! [`Engine::try_run_cell`] in spec order — journal, then store, then
-//! (for anything the fleet failed to publish) local simulation — so the
+//! [`Engine::try_run_cell`] in spec order — the store, then (for
+//! anything the fleet failed to publish) local simulation — so the
 //! output is byte-identical to the single-process path by construction:
 //! reducers consume the same verified [`CellResult`]s in the same order,
 //! wherever they were computed.
 //!
 //! Every lease transition is recorded as a sealed envelope under the run
 //! directory (`<run>/leases/<index>.lease`), the same tamper-evident
-//! format as the journal, so a crashed run leaves an auditable trail of
+//! format as the stores, so a crashed run leaves an auditable trail of
 //! which worker held what when.
 
 use std::path::{Path, PathBuf};
@@ -89,8 +89,7 @@ pub struct DistribOptions {
     /// degradation path).
     pub grace: Duration,
     /// Run id for the durable lease records (under
-    /// `target/dmdc-runs/<id>/leases/`); the installed journal's run
-    /// directory wins when one is present.
+    /// `target/dmdc-runs/<id>/leases/`); the CLI sets it from `--run-id`.
     pub run_id: String,
     /// `--inject-faults` spec forwarded verbatim to spawned workers, so
     /// the chaos harness reaches the processes where worker-side faults
@@ -650,7 +649,7 @@ impl Coord {
 
     /// Durably records one cell's lease record (rendered by
     /// [`render_lease`] in the critical section of the transition it
-    /// describes) as a sealed envelope — best-effort, like the journal: a
+    /// describes) as a sealed envelope — best-effort, like the stores: a
     /// record that cannot be written costs auditability, never
     /// correctness.
     fn record_lease(&self, index: usize, record: &str) {
@@ -724,14 +723,10 @@ pub fn execute_plan_distributed(
     let cache_dir = std::fs::canonicalize(cache.dir())
         .map_err(|e| format!("cannot resolve cache dir {}: {e}", cache.dir().display()))?;
 
-    // Durable lease records live under the run journal when one is
-    // installed, else under their own run id.
-    let lease_dir = match runner::global_journal() {
-        Some(j) => j.run_dir().join("leases"),
-        None => crate::journal::default_runs_dir()
-            .join(&opts.run_id)
-            .join("leases"),
-    };
+    // Durable lease records live in the run's directory.
+    let lease_dir = crate::cache::default_runs_dir()
+        .join(&opts.run_id)
+        .join("leases");
     std::fs::create_dir_all(&lease_dir)
         .map_err(|e| format!("cannot create lease dir {}: {e}", lease_dir.display()))?;
 
@@ -954,8 +949,8 @@ pub fn execute_plan_distributed(
     let _ = listener_thread.join();
 
     // Assembly: every cell goes back through the engine in spec order —
-    // journal replay, then the store the fleet published into, then (for
-    // poisoned/evicted cells) local simulation. Structured failures the
+    // the store the fleet published into, then (for poisoned/evicted
+    // cells) local simulation. Structured failures the
     // workers reported stand in for their cells, exactly as the
     // single-process quarantine path would have produced them.
     let table = coord.lock();
@@ -1271,8 +1266,7 @@ pub fn run_worker(addr: &str, id: &str) -> Result<(), String> {
     let plan = desc.plan()?;
     let specs = plan.specs();
     let engine = Engine::new(&plan.workloads)
-        .with_cache(Some(Arc::new(CellCache::new(Path::new(cache_dir)))))
-        .with_journal(None);
+        .with_cache(Some(Arc::new(CellCache::new(Path::new(cache_dir)))));
     eprintln!(
         "[worker {id}] joined {addr}: {} cells, store at {cache_dir}",
         specs.len()

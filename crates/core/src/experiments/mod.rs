@@ -215,7 +215,7 @@ impl Plan {
     /// Plans `variants` over `workloads`. Variants that do not carry
     /// their own sampling spec pick up the process-wide default
     /// ([`crate::runner::default_sampling`]) here — before any spec
-    /// description, cache key or journal key is derived from them.
+    /// description or cache key is derived from them.
     pub fn matrix(workloads: Vec<Workload>, mut variants: Vec<Variant>) -> Plan {
         let default_spec = crate::runner::default_sampling();
         if default_spec.enabled() {
@@ -315,7 +315,7 @@ pub fn find_experiment(id: &str) -> Option<&'static dyn Experiment> {
 
 /// Runs one registry experiment end to end (plan → run → reduce) at the
 /// given scale, using the process-default engine (worker count, cell
-/// cache, journal, retry policy).
+/// cache, retry policy).
 ///
 /// Cells that exhaust their retries are quarantined: the returned
 /// [`Report`] then carries the structured [`CellFailure`] records instead

@@ -1,30 +1,29 @@
 //! Deterministic fault injection for exercising the recovery layer.
 //!
-//! The crash-safety machinery — retries, quarantine, journal resume,
-//! cache integrity — is exactly the kind of code that silently rots
+//! The crash-safety machinery — retries, quarantine, crash resume,
+//! store integrity — is exactly the kind of code that silently rots
 //! because nothing exercises it in an ordinary run. This module plants
-//! cheap hooks at the fault sites (cell attempts, cache writes, journal
-//! writes, worker loops) that do nothing unless a [`FaultPlan`] is
-//! installed, and inject *deterministic* failures when one is:
+//! cheap hooks at the fault sites (cell attempts, durable writes, worker
+//! loops) that do nothing unless a [`FaultPlan`] is installed, and inject
+//! *deterministic* failures when one is:
 //!
 //! * **cell panics / hangs** — selected by a seeded hash of the workload
 //!   name, so the same plan always breaks the same cells regardless of
 //!   scheduling, and by default only on a cell's first attempt, so a
 //!   retry demonstrably recovers it;
-//! * **cache corruption** — every Nth freshly written cache entry gets a
-//!   byte flipped in place, simulating bit rot the next lookup must
-//!   quarantine;
-//! * **journal truncation** — every Nth checkpoint is cut in half,
-//!   simulating a crash landing mid-entry before atomic writes existed;
-//! * **kill-after** — the process calls [`std::process::abort`] after N
-//!   journal checkpoints, a reproducible stand-in for SIGKILL in
-//!   crash/resume tests;
+//! * **durable-write faults** — [`on_sealed_write`] runs after every
+//!   sealed record write (cell store, checkpoint store, partial-progress
+//!   envelope). `corrupt=N` flips a byte in every Nth write, simulating
+//!   bit rot the next lookup must quarantine; `truncate=N` (alias
+//!   `partial-upload=N`) cuts every Nth write in half, a crash landing
+//!   mid-entry or a result upload dying midway; `kill-after=N` calls
+//!   [`std::process::abort`] after N writes, a reproducible stand-in for
+//!   SIGKILL in crash/resume tests;
 //! * **distributed modes** — `worker-kill-after` aborts a `dmdc worker`
 //!   after N completed cells, `drop-heartbeats` silences its heartbeat
-//!   thread, `stale-claim` delays its first completion past the lease
-//!   TTL, and `partial-upload` truncates every Nth published result —
-//!   together they exercise every reclaim path in
-//!   [`distrib`](crate::distrib).
+//!   thread and `stale-claim` delays its first completion past the lease
+//!   TTL — together with truncated uploads they exercise every reclaim
+//!   path in [`distrib`](crate::distrib).
 //!
 //! Plans are spelled as compact `key=value` strings (see
 //! [`FaultPlan::parse`]) so the CLI (`dmdc ... --inject-faults ...`), CI
@@ -59,14 +58,16 @@ pub struct FaultPlan {
     pub hang_period: u64,
     /// How long an injected hang sleeps, in milliseconds.
     pub hang_ms: u64,
-    /// Flip a byte in every Nth freshly written cache entry.
+    /// Flip a byte in every Nth durable write.
     pub corrupt_period: u64,
-    /// Truncate every Nth journal checkpoint.
+    /// Cut every Nth durable write in half (`truncate=N`, or its alias
+    /// `partial-upload=N`, the distributed worker's "result upload died
+    /// midway" that the coordinator must catch by unsealing).
     pub truncate_period: u64,
     /// Panic one worker thread outside the per-cell isolation, forcing
     /// the serial-degradation path.
     pub worker_panic: bool,
-    /// Abort the process after this many journal checkpoints (0 = off).
+    /// Abort the process after this many durable writes (0 = off).
     pub kill_after: u64,
     /// Distributed mode: abort a `dmdc worker` process after it has
     /// completed this many cells (0 = off) — a reproducible kill -9
@@ -79,13 +80,8 @@ pub struct FaultPlan {
     /// completing its first cell — past a short lease TTL, the completion
     /// arrives from a stale lease holder after the cell was re-issued.
     pub stale_claim_ms: u64,
-    /// Distributed mode: truncate every Nth freshly written cache entry
-    /// to half (0 = off) — a partial result upload the coordinator must
-    /// detect by unsealing and re-issue.
-    pub partial_upload_period: u64,
 
-    cache_writes: AtomicU64,
-    journal_writes: AtomicU64,
+    sealed_writes: AtomicU64,
     worker_fired: AtomicBool,
     distrib_completed: AtomicU64,
     stale_claim_fired: AtomicBool,
@@ -122,13 +118,12 @@ impl FaultPlan {
                 "hang" => plan.hang_period = n,
                 "hang-ms" => plan.hang_ms = n,
                 "corrupt" => plan.corrupt_period = n,
-                "truncate" => plan.truncate_period = n,
+                "truncate" | "partial-upload" => plan.truncate_period = n,
                 "worker-panic" => plan.worker_panic = n != 0,
                 "kill-after" => plan.kill_after = n,
                 "worker-kill-after" => plan.worker_kill_after = n,
                 "drop-heartbeats" => plan.drop_heartbeats = n != 0,
                 "stale-claim" => plan.stale_claim_ms = n,
-                "partial-upload" => plan.partial_upload_period = n,
                 _ => return Err(format!("unknown fault key '{key}'")),
             }
         }
@@ -183,19 +178,18 @@ pub fn on_worker_cell(index: usize) {
     }
 }
 
-/// Hook: a sealed cache entry was just renamed into place. With
-/// `corrupt=N`, every Nth entry gets one byte flipped, preserving length
-/// (a checksum-mismatch quarantine, not a truncation). With
-/// `partial-upload=N`, every Nth entry is cut in half instead — the
-/// distributed worker's "result upload died midway", which the
-/// coordinator must catch by unsealing and re-issue the lease for.
-pub fn on_cache_entry_written(path: &Path) {
+/// Hook: a sealed record (cell store, checkpoint store or
+/// partial-progress envelope) was just renamed into place. Writes are
+/// counted from 0; with `corrupt=N` write `n` gets its last byte flipped
+/// when `(n + seed) % N == 0`, preserving length (a checksum-mismatch
+/// quarantine, not a truncation); with `truncate=N` it is cut in half
+/// under the same rule. After `kill_after` writes the process aborts —
+/// the reproducible SIGKILL crash/resume tests lean on.
+pub fn on_sealed_write(path: &Path) {
     let Some(plan) = active() else { return };
-    if plan.corrupt_period == 0 && plan.partial_upload_period == 0 {
-        return;
-    }
-    let n = plan.cache_writes.fetch_add(1, Ordering::Relaxed);
-    if plan.corrupt_period > 0 && (n + plan.seed) % plan.corrupt_period == 0 {
+    let n = plan.sealed_writes.fetch_add(1, Ordering::Relaxed);
+    let fires = |period: u64| period > 0 && (n + plan.seed).is_multiple_of(period);
+    if fires(plan.corrupt_period) {
         if let Ok(mut bytes) = std::fs::read(path) {
             if let Some(b) = bytes.last_mut() {
                 *b ^= 0x01;
@@ -203,10 +197,14 @@ pub fn on_cache_entry_written(path: &Path) {
             }
         }
     }
-    if plan.partial_upload_period > 0 && (n + plan.seed) % plan.partial_upload_period == 0 {
+    if fires(plan.truncate_period) {
         if let Ok(bytes) = std::fs::read(path) {
             let _ = std::fs::write(path, &bytes[..bytes.len() / 2]);
         }
+    }
+    if plan.kill_after > 0 && n + 1 >= plan.kill_after {
+        eprintln!("injected fault: aborting after {} durable writes", n + 1);
+        std::process::abort();
     }
 }
 
@@ -244,23 +242,6 @@ pub fn take_stale_claim_ms() -> Option<u64> {
     Some(plan.stale_claim_ms)
 }
 
-/// Hook: a journal checkpoint was just written. Every Nth entry is cut
-/// in half (a torn write), and after `kill_after` checkpoints the
-/// process aborts — the reproducible SIGKILL crash/resume tests lean on.
-pub fn on_journal_entry_written(path: &Path) {
-    let Some(plan) = active() else { return };
-    let n = plan.journal_writes.fetch_add(1, Ordering::Relaxed) + 1;
-    if plan.truncate_period > 0 && (n - 1 + plan.seed) % plan.truncate_period == 0 {
-        if let Ok(bytes) = std::fs::read(path) {
-            let _ = std::fs::write(path, &bytes[..bytes.len() / 2]);
-        }
-    }
-    if plan.kill_after > 0 && n >= plan.kill_after {
-        eprintln!("injected fault: aborting after {n} journal checkpoints");
-        std::process::abort();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,7 +266,13 @@ mod tests {
         assert_eq!(plan.worker_kill_after, 3);
         assert!(plan.drop_heartbeats);
         assert_eq!(plan.stale_claim_ms, 400);
-        assert_eq!(plan.partial_upload_period, 2);
+        assert_eq!(
+            FaultPlan::parse("partial-upload=3")
+                .unwrap()
+                .truncate_period,
+            3,
+            "partial-upload is truncate's alias"
+        );
         assert!(FaultPlan::parse("panics=1").is_err());
         assert!(FaultPlan::parse("panic").is_err());
         assert!(FaultPlan::parse("panic=x").is_err());

@@ -17,7 +17,8 @@
 //! plus the [`experiments`] module — a declarative registry regenerating
 //! every table and figure of the paper's evaluation section through a
 //! plan → run → reduce → emit pipeline — with [`runner`] (the parallel
-//! engine), [`cache`] (the persistent content-addressed cell cache),
+//! engine), [`cache`] (the persistent content-addressed cell cache —
+//! also the crash record a `--run-id` run resumes from),
 //! [`cell`] (the unified per-run metrics record) and [`report`] (tables
 //! and the text/JSON/CSV emitters) underneath. [`service`] wraps the
 //! whole registry in a long-running HTTP/JSON daemon (`dmdc serve`) with
@@ -48,7 +49,6 @@ mod dmdc;
 pub mod experiments;
 pub mod faults;
 pub mod fuzz;
-pub mod journal;
 pub mod queue;
 pub mod recovery;
 pub mod report;

@@ -1,6 +1,6 @@
 //! Process-wide recovery ledger: every fault the engine survives — a
-//! retried panic, a quarantined cache entry, a dropped journal record, a
-//! lost worker thread — is recorded here as a structured
+//! retried panic, a quarantined store entry (a torn crash-resume record
+//! included), a lost worker thread — is recorded here as a structured
 //! [`RecoveryEvent`] and tallied in the [`RecoveryCounters`].
 //!
 //! The ledger is the observability half of the fault-tolerant execution
@@ -25,17 +25,14 @@ pub enum RecoveryKind {
     /// [`CellFailure`](crate::cell::CellFailure) instead of aborting the
     /// process.
     CellQuarantined,
-    /// A corrupt, truncated or stale cache entry was quarantined to
+    /// A corrupt, truncated or stale store entry was quarantined to
     /// `quarantine/` and the cell regenerated.
     CacheQuarantined,
-    /// A torn or corrupt journal entry was dropped on resume; the cell
-    /// re-runs.
-    JournalDropped,
     /// A worker thread died; its remaining cells ran serially on the
     /// coordinating thread.
     WorkerLost,
-    /// A cell was served from a resumed run's journal instead of being
-    /// re-simulated.
+    /// A sampled cell continued mid-cell from a crashed run's
+    /// partial-progress envelope instead of starting over.
     CellResumed,
     /// A distributed worker's lease expired (missed heartbeats, death,
     /// hang) and the cell was re-issued to another worker.
@@ -52,7 +49,6 @@ impl RecoveryKind {
             RecoveryKind::CellRetry => "cell-retry",
             RecoveryKind::CellQuarantined => "cell-quarantined",
             RecoveryKind::CacheQuarantined => "cache-quarantined",
-            RecoveryKind::JournalDropped => "journal-dropped",
             RecoveryKind::WorkerLost => "worker-lost",
             RecoveryKind::CellResumed => "cell-resumed",
             RecoveryKind::LeaseReclaimed => "lease-reclaimed",
@@ -66,7 +62,7 @@ impl RecoveryKind {
 pub struct RecoveryEvent {
     /// Fault class.
     pub kind: RecoveryKind,
-    /// What it happened to (workload name, cache file, journal entry).
+    /// What it happened to (workload name, store file).
     pub subject: String,
     /// Human-readable specifics (panic message, checksum mismatch, ...).
     pub detail: String,
@@ -77,7 +73,6 @@ static EVENTS: Mutex<Vec<RecoveryEvent>> = Mutex::new(Vec::new());
 static RETRIES: AtomicU64 = AtomicU64::new(0);
 static CELL_FAILURES: AtomicU64 = AtomicU64::new(0);
 static CACHE_QUARANTINED: AtomicU64 = AtomicU64::new(0);
-static JOURNAL_DROPPED: AtomicU64 = AtomicU64::new(0);
 static WORKERS_LOST: AtomicU64 = AtomicU64::new(0);
 static CELLS_RESUMED: AtomicU64 = AtomicU64::new(0);
 static LEASES_RECLAIMED: AtomicU64 = AtomicU64::new(0);
@@ -93,11 +88,9 @@ pub struct RecoveryCounters {
     pub cell_failures: u64,
     /// Cache entries quarantined for failing integrity checks.
     pub cache_quarantined: u64,
-    /// Journal entries dropped as torn/corrupt on resume.
-    pub journal_dropped: u64,
     /// Worker threads lost (work continued serially).
     pub workers_lost: u64,
-    /// Cells replayed from a resumed run's journal.
+    /// Sampled cells continued from a partial-progress envelope.
     pub cells_resumed: u64,
     /// Distributed leases that expired and were re-issued.
     pub leases_reclaimed: u64,
@@ -118,7 +111,6 @@ pub fn record(kind: RecoveryKind, subject: impl Into<String>, detail: impl Into<
         RecoveryKind::CellRetry => &RETRIES,
         RecoveryKind::CellQuarantined => &CELL_FAILURES,
         RecoveryKind::CacheQuarantined => &CACHE_QUARANTINED,
-        RecoveryKind::JournalDropped => &JOURNAL_DROPPED,
         RecoveryKind::WorkerLost => &WORKERS_LOST,
         RecoveryKind::CellResumed => &CELLS_RESUMED,
         RecoveryKind::LeaseReclaimed => &LEASES_RECLAIMED,
@@ -141,7 +133,6 @@ pub fn counters() -> RecoveryCounters {
         retries: RETRIES.load(Ordering::Relaxed),
         cell_failures: CELL_FAILURES.load(Ordering::Relaxed),
         cache_quarantined: CACHE_QUARANTINED.load(Ordering::Relaxed),
-        journal_dropped: JOURNAL_DROPPED.load(Ordering::Relaxed),
         workers_lost: WORKERS_LOST.load(Ordering::Relaxed),
         cells_resumed: CELLS_RESUMED.load(Ordering::Relaxed),
         leases_reclaimed: LEASES_RECLAIMED.load(Ordering::Relaxed),
@@ -161,7 +152,6 @@ pub fn reset() {
         &RETRIES,
         &CELL_FAILURES,
         &CACHE_QUARANTINED,
-        &JOURNAL_DROPPED,
         &WORKERS_LOST,
         &CELLS_RESUMED,
         &LEASES_RECLAIMED,
@@ -174,11 +164,10 @@ pub fn reset() {
 /// Renders the counters as the `--profile` recovery line.
 pub fn render(c: &RecoveryCounters) -> String {
     format!(
-        "[profile] recovery: {} retries, {} cell failures, {} cache quarantined, {} journal dropped, {} workers lost, {} cells resumed, {} leases reclaimed, {} cells poisoned",
+        "[profile] recovery: {} retries, {} cell failures, {} cache quarantined, {} workers lost, {} cells resumed, {} leases reclaimed, {} cells poisoned",
         c.retries,
         c.cell_failures,
         c.cache_quarantined,
-        c.journal_dropped,
         c.workers_lost,
         c.cells_resumed,
         c.leases_reclaimed,

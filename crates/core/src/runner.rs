@@ -25,6 +25,7 @@
 //! and fresh cells apart.
 
 use std::panic::{self, AssertUnwindSafe};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::Duration;
@@ -38,7 +39,6 @@ use dmdc_workloads::Workload;
 use crate::cache::{workload_digest, CacheCounters, CellCache};
 use crate::cell::{CellError, CellFailure, CellResult, FailureKind};
 use crate::experiments::{PolicyKind, Run};
-use crate::journal::{JournalCounters, RunJournal};
 use crate::recovery::{self, RecoveryKind};
 
 /// One independent experiment cell: a single verified simulation.
@@ -57,8 +57,8 @@ pub struct RunSpec {
 impl RunSpec {
     /// A cell with default options, under the process-wide default
     /// sampling mode (see [`set_default_sampling`]) — applied here, before
-    /// the spec's description and hence any cache or journal key is
-    /// derived, so sampled and exact cells can never collide.
+    /// the spec's description and hence any cache key is derived, so
+    /// sampled and exact cells can never collide.
     pub fn new(workload: usize, config: &CoreConfig, policy: PolicyKind) -> RunSpec {
         RunSpec {
             workload,
@@ -96,23 +96,20 @@ pub fn global_cell_cache() -> Option<Arc<CellCache>> {
     GLOBAL_CACHE.lock().expect("cell cache poisoned").clone()
 }
 
-/// Process-wide default run journal (crash-safe checkpoint/resume). The
-/// CLI installs one per `suite`/`experiment` invocation; `--resume`
-/// reopens a previous run's journal instead.
-static GLOBAL_JOURNAL: Mutex<Option<Arc<RunJournal>>> = Mutex::new(None);
+/// The directory of the current `--run-id` run, if any. Sampled cells
+/// keep their partial-progress envelopes under its `samples/`, so a
+/// killed run continues mid-cell on resume; completed cells persist
+/// through the cell cache alone.
+static RUN_DIR: Mutex<Option<PathBuf>> = Mutex::new(None);
 
-/// Installs (or, with `None`, removes) the process-wide run journal
-/// picked up by every subsequently created [`Engine`].
-pub fn set_global_journal(journal: Option<Arc<RunJournal>>) {
-    *GLOBAL_JOURNAL.lock().expect("journal slot poisoned") = journal;
+/// Sets (or, with `None`, clears) the process-wide run directory.
+pub fn set_run_dir(dir: Option<PathBuf>) {
+    *RUN_DIR.lock().expect("run dir poisoned") = dir;
 }
 
-/// The process-wide run journal, if one is installed.
-pub fn global_journal() -> Option<Arc<RunJournal>> {
-    GLOBAL_JOURNAL
-        .lock()
-        .expect("journal slot poisoned")
-        .clone()
+/// The process-wide run directory, if one is set.
+pub fn run_dir() -> Option<PathBuf> {
+    RUN_DIR.lock().expect("run dir poisoned").clone()
 }
 
 /// Process-wide persistent checkpoint store (see
@@ -211,8 +208,8 @@ pub fn default_jobs() -> usize {
 /// Process-wide default sampling spec (the CLI sets this for `--scale
 /// full` unless `--exact`, or anywhere with `--sampled`). Experiment
 /// plans apply it to every variant that does not carry its own spec, so
-/// the spec lands in [`RunSpec::opts`] **before** any cache or journal
-/// key is computed — sampled and exact cells can never collide.
+/// the spec lands in [`RunSpec::opts`] **before** any cache key is
+/// computed — sampled and exact cells can never collide.
 static DEFAULT_SAMPLING: Mutex<SampleSpec> = Mutex::new(SampleSpec::EXACT);
 
 /// Sets the process-wide default sampling spec ([`SampleSpec::EXACT`]
@@ -517,7 +514,6 @@ pub struct Engine<'w> {
     oracle: EmuOracle,
     jobs: usize,
     cache: Option<Arc<CellCache>>,
-    journal: Option<Arc<RunJournal>>,
     retries: usize,
     cell_timeout: Option<Duration>,
     digests: Vec<OnceLock<u64>>,
@@ -525,20 +521,19 @@ pub struct Engine<'w> {
 
 impl<'w> Engine<'w> {
     /// An engine using the resolved default worker count and the
-    /// process-wide cell cache, journal and retry policy (if installed).
+    /// process-wide cell cache and retry policy (if installed).
     pub fn new(workloads: &'w [Workload]) -> Engine<'w> {
         Engine::with_jobs(workloads, default_jobs())
     }
 
     /// An engine with an explicit worker count (`1` = fully serial) and
-    /// the process-wide cell cache, journal and retry policy.
+    /// the process-wide cell cache and retry policy.
     pub fn with_jobs(workloads: &'w [Workload], jobs: usize) -> Engine<'w> {
         Engine {
             workloads,
             oracle: EmuOracle::new(workloads.len()),
             jobs: jobs.max(1),
             cache: global_cell_cache(),
-            journal: global_journal(),
             retries: default_retries(),
             cell_timeout: default_cell_timeout(),
             digests: (0..workloads.len()).map(|_| OnceLock::new()).collect(),
@@ -549,13 +544,6 @@ impl<'w> Engine<'w> {
     /// engine regardless of the process-wide default).
     pub fn with_cache(mut self, cache: Option<Arc<CellCache>>) -> Engine<'w> {
         self.cache = cache;
-        self
-    }
-
-    /// Replaces the engine's run journal (`None` disables journaling for
-    /// this engine regardless of the process-wide default).
-    pub fn with_journal(mut self, journal: Option<Arc<RunJournal>>) -> Engine<'w> {
-        self.journal = journal;
         self
     }
 
@@ -582,11 +570,6 @@ impl<'w> Engine<'w> {
     /// The cell cache's counters, if this engine carries a cache.
     pub fn cache_counters(&self) -> Option<CacheCounters> {
         self.cache.as_ref().map(|c| c.counters())
-    }
-
-    /// The run journal's counters, if this engine carries a journal.
-    pub fn journal_counters(&self) -> Option<JournalCounters> {
-        self.journal.as_ref().map(|j| j.counters())
     }
 
     /// The content digest of `workloads[index]`, computed at most once.
@@ -622,32 +605,24 @@ impl<'w> Engine<'w> {
 
     /// Executes one cell under the fault-tolerant layer:
     ///
-    /// 1. a **journal hit** (a cell completed before this run resumed)
-    ///    replays the verified result without touching the simulator;
-    /// 2. a **cache hit** does the same from the content-addressed cache
-    ///    (and checkpoints the cell into the journal);
-    /// 3. otherwise the cell is simulated under `catch_unwind` — with a
-    ///    wall-clock watchdog when a cell timeout is configured — and
-    ///    retried with bounded backoff up to the configured retry budget;
-    /// 4. a cell that exhausts its retries comes back as a structured
+    /// 1. a **cache hit** (including a cell a crashed run completed
+    ///    before it died) returns the verified result without touching
+    ///    the simulator;
+    /// 2. otherwise the cell is simulated under `catch_unwind` — with a
+    ///    wall-clock watchdog when a cell timeout is configured — retried
+    ///    with bounded backoff up to the configured retry budget, and
+    ///    stored;
+    /// 3. a cell that exhausts its retries comes back as a structured
     ///    [`CellFailure`] instead of killing the process.
     pub fn try_run_cell(&self, spec: &RunSpec) -> Result<CellResult, CellFailure> {
         let name = self.workloads[spec.workload].name;
         let desc = spec.desc();
         let digest = self.digest(spec.workload);
-        if let Some(journal) = &self.journal {
-            let key = journal.key(digest, &desc);
-            if let Some(cell) = journal.replay(key, name) {
-                recovery::record(RecoveryKind::CellResumed, name, &desc);
-                return Ok(cell);
-            }
-        }
         let cached = self
             .cache
             .as_ref()
             .and_then(|cache| cache.load(cache.key(digest, &desc), name));
         if let Some(cell) = cached {
-            self.checkpoint(digest, &desc, &cell);
             return Ok(cell);
         }
         let attempts = self.retries + 1;
@@ -663,7 +638,6 @@ impl<'w> Engine<'w> {
                     if let Some(cache) = &self.cache {
                         cache.store(cache.key(digest, &desc), &cell);
                     }
-                    self.checkpoint(digest, &desc, &cell);
                     return Ok(cell);
                 }
                 Err(e) => last = Some(e),
@@ -678,14 +652,6 @@ impl<'w> Engine<'w> {
             detail: err.detail,
             attempts: attempts as u32,
         })
-    }
-
-    /// Checkpoints a completed cell into the run journal, if one is
-    /// attached.
-    fn checkpoint(&self, digest: u64, desc: &str, cell: &CellResult) {
-        if let Some(journal) = &self.journal {
-            journal.record(journal.key(digest, desc), cell);
-        }
     }
 
     /// One isolated attempt at a cell: panics are caught, and with a cell

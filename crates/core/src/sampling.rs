@@ -20,9 +20,9 @@
 //!    means) for the headline rates, carried in
 //!    [`SamplingStats`](dmdc_ooo::SamplingStats).
 //!
-//! Sampled runs are **crash-resumable**: after each checkpoint capture the
-//! in-progress state (completed window deltas + the checkpoint itself)
-//! is serialized through the same sealed-envelope format as the journal,
+//! Sampled runs are **crash-resumable**: under `--run-id`, after each
+//! checkpoint capture the in-progress state (completed window deltas +
+//! the checkpoint itself) is stored on the stores' sealed-file core,
 //! under `<run>/samples/<key>.ckpt`. A killed run restores the emulator
 //! and warm structures from that envelope and continues; the final cell
 //! is byte-identical to an uninterrupted run because every window derives
@@ -41,11 +41,11 @@
 //! the warming rules and the window simulations are all pure functions of
 //! `(workload, config, policy, options)` — a sampled cell, like an exact
 //! one, is content-addressable. The sampling spec is part of
-//! [`SimOptions`], so sampled and exact cells can never share a cache or
-//! journal key.
+//! [`SimOptions`], so sampled and exact cells can never share a cache
+//! key.
 
 use std::collections::{HashMap, VecDeque};
-use std::path::PathBuf;
+use std::path::Path;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -57,7 +57,7 @@ use dmdc_ooo::{
 use dmdc_types::Addr;
 use dmdc_workloads::Workload;
 
-use crate::cache::{workload_digest, write_sealed, Fnv64};
+use crate::cache::{default_fingerprint, workload_digest, Fnv64, SealedDir};
 use crate::cell::{CellError, CellResult, FailureKind};
 use crate::experiments::PolicyKind;
 
@@ -529,16 +529,11 @@ pub(crate) fn execute_sampled(
 
     let digest = workload_digest(workload);
 
-    // Partial-progress envelope (crash resume): locate it under the run
-    // journal, keyed exactly like the cell itself.
-    let envelope = crate::runner::global_journal().map(|journal| {
+    // Partial-progress envelope (crash resume): a sealed entry under the
+    // run directory, keyed exactly like the cell itself.
+    let envelope = crate::runner::run_dir().map(|run| {
         let desc = format!("{config:?}|{policy_kind:?}|{opts:?}");
-        let key = journal.key(digest, &desc);
-        let path = journal
-            .run_dir()
-            .join("samples")
-            .join(format!("{key:016x}.ckpt"));
-        (path, key)
+        partial_envelope(&run, default_fingerprint(), digest, &desc)
     });
 
     // Shared checkpoint key: checkpoints are a pure function of the
@@ -564,8 +559,8 @@ pub(crate) fn execute_sampled(
     let mut pending: Option<Checkpoint> = None;
     let mut emu = Emulator::new(&workload.program);
     let mut warm = Warmer::new(config);
-    if let Some((path, _)) = &envelope {
-        if let Some(partial) = load_partial(path, &opts.sampling, population) {
+    if let Some((dir, key)) = &envelope {
+        if let Some(partial) = dir.load(*key, |b| decode_partial(b, &opts.sampling, population)) {
             if let Some(w) = Warmer::restore(&partial.checkpoint, config) {
                 emu = partial.checkpoint.restore_emulator(&workload.program);
                 warm = w;
@@ -682,8 +677,11 @@ pub(crate) fn execute_sampled(
                         ck
                     }
                 };
-                if let Some((path, key)) = &envelope {
-                    persist_partial(path, *key, &opts.sampling, population, &deltas, &ck);
+                if let Some((dir, key)) = &envelope {
+                    dir.store(
+                        *key,
+                        &encode_partial(&opts.sampling, population, &deltas, &ck),
+                    );
                 }
                 ck
             }
@@ -693,8 +691,8 @@ pub(crate) fn execute_sampled(
         window_nanos += t0.elapsed().as_nanos() as u64;
         deltas.push(delta);
     }
-    if let Some((path, _)) = &envelope {
-        let _ = std::fs::remove_file(path);
+    if let Some((dir, key)) = &envelope {
+        dir.remove(*key);
     }
     if crate::runner::profile_enabled() {
         // Export order puts cycles first and committed second (see
@@ -971,21 +969,16 @@ struct Partial {
     checkpoint: Checkpoint,
 }
 
-/// Writes the partial-progress envelope (sealed, atomic tmp + rename)
-/// after each checkpoint capture, then notifies the fault-injection hook
-/// (so kill-after faults can land mid-cell in crash tests).
-fn persist_partial(
-    path: &std::path::Path,
-    key: u64,
+/// Renders the partial-progress envelope body stored after each
+/// checkpoint capture (each store is a durable write, so kill-after
+/// faults can land mid-cell in crash tests).
+fn encode_partial(
     spec: &SampleSpec,
     population: u64,
     deltas: &[Vec<u64>],
     checkpoint: &Checkpoint,
-) {
+) -> String {
     use std::fmt::Write as _;
-    if let Some(dir) = path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
     let mut body = String::new();
     let _ = writeln!(body, "{SAMPLE_MAGIC} {}", SimStats::EXPORT_LEN);
     let _ = writeln!(
@@ -999,17 +992,13 @@ fn persist_partial(
         let _ = writeln!(body, "delta {}", join(delta));
     }
     body.push_str(&checkpoint.encode());
-    if write_sealed(path, &body, crate::cache::tmp_tag(key)) {
-        crate::faults::on_journal_entry_written(path);
-    }
+    body
 }
 
-/// Loads and validates a partial-progress envelope; any mismatch (seal,
-/// schema, spec, population, window-count consistency) degrades to a
-/// fresh start, never an error.
-fn load_partial(path: &std::path::Path, spec: &SampleSpec, population: u64) -> Option<Partial> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let body = crate::cache::unseal(&text).ok()?;
+/// Decodes and validates a partial-progress envelope body; any mismatch
+/// (schema, spec, population, window-count consistency) quarantines the
+/// envelope and degrades to a fresh start, never an error.
+fn decode_partial(body: &str, spec: &SampleSpec, population: u64) -> Option<Partial> {
     let mut lines = body.lines();
     let export_len: usize = lines
         .next()?
@@ -1049,10 +1038,20 @@ fn load_partial(path: &std::path::Path, spec: &SampleSpec, population: u64) -> O
     Some(Partial { deltas, checkpoint })
 }
 
-/// The path a sampled cell's partial-progress envelope lives at inside a
-/// run directory (exposed for tests).
-pub fn sample_envelope_dir(run_dir: &std::path::Path) -> PathBuf {
-    run_dir.join("samples")
+/// A run directory's partial-progress envelopes (`<run>/samples/<key>.ckpt`)
+/// and one cell's key among them: the cell-cache key formula (simulator
+/// fingerprint ‖ workload digest ‖ cell description), so an envelope a
+/// rebuilt simulator left behind under a reused run id is a miss rather
+/// than a restore.
+fn partial_envelope(
+    run_dir: &Path,
+    fingerprint: String,
+    digest: u64,
+    desc: &str,
+) -> (SealedDir, u64) {
+    let dir = SealedDir::new(run_dir.join("samples"), "ckpt", fingerprint);
+    let key = dir.hasher(digest).write(desc.as_bytes()).finish();
+    (dir, key)
 }
 
 #[cfg(test)]
@@ -1138,6 +1137,30 @@ mod tests {
             "the quarantined file must be gone"
         );
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn partial_envelope_is_keyed_on_the_fingerprint() {
+        let run = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../target/dmdc-partial-envelope-unit-test");
+        let _ = std::fs::remove_dir_all(&run);
+        let (w, ck) = warm_checkpoint(2_000);
+        let digest = workload_digest(&w);
+        let spec = SampleSpec::default();
+        let deltas = vec![vec![7; SimStats::EXPORT_LEN]; ck.window as usize];
+        let decode = |b: &str| decode_partial(b, &spec, 50_000);
+        let (dir_a, key_a) = partial_envelope(&run, "fp-a".into(), digest, "desc");
+        dir_a.store(key_a, &encode_partial(&spec, 50_000, &deltas, &ck));
+        let back = dir_a
+            .load(key_a, decode)
+            .expect("same fingerprint restores");
+        assert_eq!((back.deltas, back.checkpoint), (deltas, ck));
+
+        // A rebuilt simulator (bumped fingerprint) resuming the same run id
+        // must not find the old binary's window deltas.
+        let (dir_b, key_b) = partial_envelope(&run, "fp-b".into(), digest, "desc");
+        assert!(dir_b.load(key_b, decode).is_none());
+        let _ = std::fs::remove_dir_all(&run);
     }
 
     #[test]

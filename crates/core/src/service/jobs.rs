@@ -272,8 +272,7 @@ pub fn execute(spec: &JobSpec) -> Result<String, String> {
             let core = build_config(*config);
             // The sampling mode is set on the spec itself, never through
             // the process-wide default: the daemon is long-lived and
-            // concurrent, and `RunSpec::opts` is what cache and journal
-            // keys hash.
+            // concurrent, and `RunSpec::opts` is what cache keys hash.
             let opts = SimOptions {
                 inval_per_kcycle: *inval_rate,
                 sampling: if *sampled {

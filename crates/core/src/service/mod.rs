@@ -222,8 +222,12 @@ pub fn serve(opts: &ServeOptions) -> Result<(), String> {
     );
 
     // Graceful drain: stop accepting, finish every queued job, persist
-    // every result, then exit. Draining wakes every parked result poll,
+    // every result, then exit. Closing the listener first makes a client
+    // arriving during the drain get a refusal at once (its retry logic
+    // treats that as transient) rather than sit in the accept backlog
+    // until the process exits. Draining wakes every parked result poll,
     // and each returns once its job is done.
+    drop(listener);
     manager.begin_drain();
     for h in handlers {
         let _ = h.join();

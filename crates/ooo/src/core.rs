@@ -38,8 +38,8 @@ use crate::trace::{PipelineTrace, Stage};
 /// `warmup_insts + window_insts` instructions in detail from each — the
 /// warmup prefix trains the out-of-order structures after the restore and
 /// is discarded; only the `window_insts` suffix is measured. The spec is
-/// part of [`SimOptions`], so it flows into every content-address and
-/// journal key: sampled and exact results can never collide.
+/// part of [`SimOptions`], so it flows into every content-address key:
+/// sampled and exact results can never collide.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SampleSpec {
     /// Number of detailed measurement windows (0 = exact simulation).
@@ -121,7 +121,7 @@ pub struct SimOptions {
     /// Statistical-sampling spec ([`SampleSpec::EXACT`] = simulate every
     /// instruction). The simulator itself never reads this — the sampling
     /// driver in `dmdc-core` interprets it — but it lives here so every
-    /// cache and journal key separates sampled from exact cells.
+    /// cache key separates sampled from exact cells.
     pub sampling: SampleSpec,
 }
 

@@ -26,12 +26,14 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use dmdc::core::cache::{default_cache_dir, default_fingerprint, CellCache, CheckpointStore};
+use dmdc::core::cache::{
+    default_cache_dir, default_fingerprint, default_runs_dir, unseal, write_sealed, CellCache,
+    CheckpointStore,
+};
 use dmdc::core::distrib::{self, DistribOptions, PlanDescriptor};
 use dmdc::core::experiments::{self, PolicyKind};
 use dmdc::core::faults::{self, FaultPlan};
 use dmdc::core::fuzz::{self, FuzzOptions};
-use dmdc::core::journal::{default_runs_dir, RunJournal};
 use dmdc::core::recovery;
 use dmdc::core::report::{fmt, OutputFormat, Report, Table};
 use dmdc::core::runner::{self, Engine, RunSpec};
@@ -150,9 +152,9 @@ branch-predictor warming, periodic checkpoints, short detailed windows,
 population estimates with 95% confidence intervals (reported as
 `value ±ci` in every emitter). --sampled opts any scale in; --exact is
 the escape hatch forcing full detailed simulation at any scale. Sampled
-and exact runs never share cache or journal entries, and a sampled
-run with --run-id checkpoints windows so `dmdc run --resume` continues
-mid-cell after a crash.
+and exact runs never share cache entries, and a sampled run with
+--run-id checkpoints windows so `dmdc run --resume` continues mid-cell
+after a crash.
 
 `dmdc serve` runs the registry as a long-lived HTTP/JSON daemon: clients
 POST jobs (one cell or a whole experiment), poll their status, and fetch
@@ -170,8 +172,8 @@ read --addr or the DMDC_ADDR environment variable (default
 prints it.
 
 --profile reports a per-stage host-time breakdown, the event-horizon
-loop's skipped-cycle counters, the cell-cache hit/miss/integrity totals,
-journal replay counters and the recovery ledger (for suite/experiment:
+loop's skipped-cycle counters, the cell-cache and checkpoint-store
+hit/miss/integrity totals and the recovery ledger (for suite/experiment:
 aggregated over all runs, printed to stderr so stdout stays
 byte-identical).
 
@@ -191,18 +193,22 @@ order and is byte-identical to the single-process run. --inject-faults
 gains distributed keys, forwarded to spawned workers:
 'worker-kill-after=N' (abort after N cells), 'drop-heartbeats=1',
 'stale-claim=MS' (sit on the first lease past its TTL), and
-'partial-upload=N' (truncate every Nth store write).
+'partial-upload=N' (truncate=N under its fleet name).
 
 Fault tolerance: each cell runs under panic isolation; a panicking or
 timed-out cell (--cell-timeout, wall-clock milliseconds per cell) is
 retried --retries times (default 1) with bounded backoff, then
 quarantined as a structured failure in the report (nonzero exit, partial
-tables). --run-id ID checkpoints completed cells to
-target/dmdc-runs/ID/journal; after a crash, `dmdc run --resume ID`
-replays the finished cells and re-runs only the missing ones, producing
-byte-identical output. --inject-faults SPEC (e.g.
+tables). --run-id ID records the command line in
+target/dmdc-runs/ID/manifest. The cell store is the crash record: every
+completed cell is already in it (under --no-cache, in a run-private store
+at target/dmdc-runs/ID/journal), so after a crash `dmdc run --resume ID`
+re-runs the recorded command, the store serves the finished cells, and
+only the missing ones simulate, producing byte-identical output.
+--inject-faults SPEC (e.g.
 'seed=1,panic=2,hang=3,hang-ms=200,corrupt=2,truncate=2,worker-panic=1,
-kill-after=4') deterministically injects faults to exercise these paths.
+kill-after=4') deterministically injects faults to exercise these paths;
+corrupt, truncate and kill-after count durable store writes.
 "
     .to_string()
 }
@@ -246,10 +252,10 @@ fn apply_profile(flags: &std::collections::HashMap<String, String>) {
     }
 }
 
-/// Prints the accumulated profile totals — plus the cell cache's
-/// hit/miss/integrity counters, the journal's replay counters and the
-/// recovery ledger when installed — to stderr, keeping stdout
-/// byte-identical with and without `--profile`.
+/// Prints the accumulated profile totals — plus the cell cache's and
+/// checkpoint store's hit/miss/integrity counters when installed, and
+/// the recovery ledger — to stderr, keeping stdout byte-identical with
+/// and without `--profile`.
 fn report_profile() {
     if runner::profile_enabled() {
         eprint!("{}", runner::take_profile_totals().render());
@@ -275,17 +281,6 @@ fn report_profile() {
                 c.corrupt,
                 c.quarantined,
                 store.dir().display(),
-            );
-        }
-        if let Some(journal) = runner::global_journal() {
-            let c = journal.counters();
-            eprintln!(
-                "[profile] journal '{}': {} replayed, {} recorded, {} dropped ({})",
-                journal.run_id(),
-                c.replayed,
-                c.recorded,
-                c.dropped,
-                journal.run_dir().display(),
             );
         }
         eprintln!("{}", recovery::render(&recovery::counters()));
@@ -316,11 +311,16 @@ fn apply_recovery(flags: &std::collections::HashMap<String, String>) -> Result<(
     Ok(())
 }
 
-/// Starts crash-safe journaling under `target/dmdc-runs/<run-id>/` when
-/// `--run-id` was given. No-op if a journal is already installed — a
-/// `--resume` dispatch re-enters here with the recorded argv, and the
-/// resumed journal must stay in place.
-fn apply_journal(
+/// First line of a run's sealed manifest body.
+const MANIFEST_MAGIC: &str = "dmdc-manifest v1";
+
+/// With `--run-id`, records the run under `target/dmdc-runs/<run-id>/`:
+/// the sealed manifest (command line plus simulator fingerprint) that
+/// `dmdc run --resume` re-dispatches, and the run directory sampled cells
+/// keep their partial-progress envelopes in. Completed cells persist
+/// through the cell store alone — the shared one, or under `--no-cache` a
+/// run-private store at `<run>/journal/` — so a resume finds them there.
+fn apply_run_id(
     command: &str,
     args: &[String],
     flags: &std::collections::HashMap<String, String>,
@@ -328,28 +328,80 @@ fn apply_journal(
     let Some(run_id) = flags.get("run-id") else {
         return Ok(());
     };
-    if runner::global_journal().is_some() {
-        return Ok(());
-    }
+    let run_dir = default_runs_dir().join(run_id);
+    std::fs::create_dir_all(&run_dir)
+        .map_err(|e| format!("cannot create run dir {}: {e}", run_dir.display()))?;
     let mut argv = vec![command.to_string()];
     argv.extend(args.iter().cloned());
-    let journal = RunJournal::create(&default_runs_dir(), run_id, &default_fingerprint(), &argv)?;
-    runner::set_global_journal(Some(Arc::new(journal)));
+    let manifest = run_dir.join("manifest");
+    let body = manifest_body(&default_fingerprint(), &argv);
+    if !write_sealed(&manifest, &body, std::process::id() as u64) {
+        return Err(format!("cannot write manifest {}", manifest.display()));
+    }
+    if flags.contains_key("no-cache") {
+        let private = run_dir.join("journal");
+        std::fs::create_dir_all(&private)
+            .map_err(|e| format!("cannot create run store {}: {e}", private.display()))?;
+        runner::set_global_cell_cache(Some(Arc::new(CellCache::new(private))));
+    }
+    runner::set_run_dir(Some(run_dir));
     Ok(())
 }
 
-/// `dmdc run --resume <run-id>`: reopen the interrupted run's journal,
+/// Renders the manifest body: fingerprint plus one `arg` line per
+/// command-line argument.
+fn manifest_body(fingerprint: &str, argv: &[String]) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    let _ = writeln!(out, "{MANIFEST_MAGIC}");
+    let _ = writeln!(out, "fingerprint {fingerprint}");
+    for arg in argv {
+        // Newlines in argv would corrupt the line-oriented format; no
+        // dmdc flag value can legitimately contain one.
+        let _ = writeln!(out, "arg {}", arg.replace('\n', " "));
+    }
+    out
+}
+
+/// Parses a manifest body back into `(fingerprint, argv)`.
+fn parse_manifest(body: &str) -> Option<(String, Vec<String>)> {
+    let mut lines = body.lines();
+    if lines.next()? != MANIFEST_MAGIC {
+        return None;
+    }
+    let fingerprint = lines.next()?.strip_prefix("fingerprint ")?.to_string();
+    let mut argv = Vec::new();
+    for line in lines {
+        argv.push(line.strip_prefix("arg ")?.to_string());
+    }
+    Some((fingerprint, argv))
+}
+
+/// `dmdc run --resume <run-id>`: read the interrupted run's manifest,
 /// verify the fingerprint, and re-dispatch its recorded command line.
-/// Completed cells replay from the journal; only missing cells simulate.
-/// Any recorded `--inject-faults` plan is dropped — the fault plan that
-/// killed the run must not kill the resume.
+/// The store serves every cell the run completed; only missing cells
+/// simulate. Any recorded `--inject-faults` plan is dropped — the fault
+/// plan that killed the run must not kill the resume.
 fn cmd_resume(run_id: &str) -> Result<(), String> {
-    let (journal, argv) = RunJournal::resume(&default_runs_dir(), run_id, &default_fingerprint())?;
-    eprintln!(
-        "resuming run '{run_id}': {} completed cells on record",
-        journal.preexisting_len()
-    );
-    runner::set_global_journal(Some(Arc::new(journal)));
+    let runs = default_runs_dir();
+    let text = std::fs::read_to_string(runs.join(run_id).join("manifest")).map_err(|_| {
+        format!(
+            "no run '{run_id}' under {} (nothing to resume)",
+            runs.display()
+        )
+    })?;
+    let body = unseal(&text)
+        .map_err(|e| format!("manifest of run '{run_id}' is damaged ({})", e.label()))?;
+    let (recorded_fp, argv) =
+        parse_manifest(body).ok_or_else(|| format!("manifest of run '{run_id}' is malformed"))?;
+    let fingerprint = default_fingerprint();
+    if recorded_fp != fingerprint {
+        return Err(format!(
+            "run '{run_id}' was produced by simulator fingerprint '{recorded_fp}', \
+             but this binary is '{fingerprint}'; its partial progress cannot be \
+             trusted — re-run from scratch"
+        ));
+    }
     let mut replay = Vec::with_capacity(argv.len());
     let mut it = argv.into_iter();
     while let Some(a) = it.next() {
@@ -363,6 +415,7 @@ fn cmd_resume(run_id: &str) -> Result<(), String> {
         }
         replay.push(a);
     }
+    eprintln!("resuming run '{run_id}': dmdc {}", replay.join(" "));
     dispatch(&replay)
 }
 
@@ -619,7 +672,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         // installing it makes repeat runs skip the fast-forward.
         apply_cache(&flags);
         apply_recovery(&flags)?;
-        apply_journal("run", args, &flags)?;
+        apply_run_id("run", args, &flags)?;
         let cell = experiments::run_workload(&workload, &config, &policy, opts);
         print_run_stats(&workload, &policy, &config, &cell.stats);
         report_profile();
@@ -793,7 +846,7 @@ fn cmd_suite(args: &[String]) -> Result<(), String> {
     apply_cache(&flags);
     apply_recovery(&flags)?;
     let sampling = apply_sampling(&flags, scale)?;
-    apply_journal("suite", args, &flags)?;
+    apply_run_id("suite", args, &flags)?;
     let mut t = Table::new(format!("suite under {policy:?} on {}", config.name));
     t.headers([
         "workload",
@@ -891,7 +944,7 @@ fn cmd_experiment(args: &[String]) -> Result<(), String> {
     apply_cache(&flags);
     apply_recovery(&flags)?;
     let sampling = apply_sampling(&flags, scale)?;
-    apply_journal("experiment", args, &flags)?;
+    apply_run_id("experiment", args, &flags)?;
     let distrib_opts = parse_distrib(&flags)?;
     let ids: Vec<&str> = match which.as_str() {
         "all" => experiments::registry().iter().map(|e| e.id()).collect(),
@@ -1256,6 +1309,18 @@ mod tests {
         assert_eq!(f["profile"], "true");
         assert_eq!(f["jobs"], "4");
         assert_eq!(f["trace"], "true");
+    }
+
+    #[test]
+    fn manifest_roundtrips() {
+        let argv = vec![
+            "suite".to_string(),
+            "--scale".to_string(),
+            "smoke".to_string(),
+        ];
+        let body = manifest_body("fp-x", &argv);
+        assert_eq!(parse_manifest(&body), Some(("fp-x".to_string(), argv)));
+        assert!(parse_manifest("garbage").is_none());
     }
 
     #[test]

@@ -8,7 +8,7 @@ use std::process::{Command, Output};
 
 /// A fresh working directory under `target/` for one test — the binary
 /// writes `target/dmdc-runs/` and `target/dmdc-cache/` relative to its
-/// cwd, so each test gets hermetic journals and caches.
+/// cwd, so each test gets hermetic run records and stores.
 fn workdir(name: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("target")
@@ -45,11 +45,32 @@ const SUITE: &[&str] = &[
     "--no-cache",
 ];
 
+/// Counts the sealed cell entries (`<key>.cell`) directly under `dir`.
+fn cell_entries(dir: &Path) -> usize {
+    std::fs::read_dir(dir)
+        .map(|entries| {
+            entries
+                .flatten()
+                .filter(|e| e.file_name().to_string_lossy().ends_with(".cell"))
+                .count()
+        })
+        .unwrap_or(0)
+}
+
+/// The hit count of the `[profile] cell cache: N hits, ...` stderr line.
+fn cache_hits(err: &str) -> usize {
+    err.lines()
+        .find_map(|l| l.strip_prefix("[profile] cell cache: "))
+        .and_then(|rest| rest.split(' ').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no `[profile] cell cache:` line in stderr:\n{err}"))
+}
+
 #[test]
 fn killed_suite_resumes_byte_identical() {
     let wd = workdir("dmdc-crash-resume-wd");
 
-    // The uninterrupted reference run (no journaling involved).
+    // The uninterrupted reference run (no run id, no store).
     let clean = dmdc(&wd, SUITE);
     assert!(
         clean.status.success(),
@@ -59,47 +80,75 @@ fn killed_suite_resumes_byte_identical() {
     let reference = stdout(&clean);
     assert!(reference.contains("== suite"), "unexpected output");
 
-    // The same run, journaled, aborted after 4 checkpoints.
-    let mut crash_args = SUITE.to_vec();
-    crash_args.extend(["--run-id", "kill-test", "--inject-faults", "kill-after=4"]);
-    let crashed = dmdc(&wd, &crash_args);
-    assert!(
-        !crashed.status.success(),
-        "the injected abort must kill the run"
-    );
-    let journal = wd.join("target/dmdc-runs/kill-test/journal");
-    let entries = std::fs::read_dir(&journal).expect("journal exists").count();
-    assert!(
-        entries >= 4,
-        "expected at least the 4 pre-abort checkpoints, found {entries}"
-    );
+    // The store is the crash record. Under `--no-cache` a run keeps its
+    // cells in a run-private store; with the shared store on, the cells
+    // the killed run finished are already in `target/dmdc-cache/`.
+    let private = "target/dmdc-runs/kill-test/journal";
+    let shared = &SUITE[..SUITE.len() - 1]; // without the trailing --no-cache
+    for (run_id, args, store) in [
+        ("kill-test", SUITE, private),
+        ("kill-shared", shared, "target/dmdc-cache"),
+    ] {
+        // The same run under a run id, aborted after 4 durable writes.
+        // `--profile` is recorded in the manifest, so the resume prints
+        // the cell-cache counters (on stderr; stdout is unchanged).
+        let mut crash_args = args.to_vec();
+        crash_args.extend([
+            "--profile",
+            "--run-id",
+            run_id,
+            "--inject-faults",
+            "kill-after=4",
+        ]);
+        let crashed = dmdc(&wd, &crash_args);
+        assert!(
+            !crashed.status.success(),
+            "the injected abort must kill run {run_id}"
+        );
+        let entries = cell_entries(&wd.join(store));
+        assert!(
+            entries >= 4,
+            "{run_id}: expected at least the 4 pre-abort cells in {store}, found {entries}"
+        );
 
-    // Resume: replays the checkpointed cells, simulates only the rest,
-    // and must reproduce the reference bytes exactly.
-    let resumed = dmdc(&wd, &["run", "--resume", "kill-test"]);
-    assert!(
-        resumed.status.success(),
-        "resume failed: {}",
-        stderr(&resumed)
-    );
-    assert!(
-        stderr(&resumed).contains("resuming run 'kill-test'"),
-        "resume must announce itself on stderr"
-    );
-    assert_eq!(
-        stdout(&resumed),
-        reference,
-        "resumed report must be byte-identical to the uninterrupted run"
-    );
+        // Resume: the store serves the finished cells, only the rest
+        // simulate, and the report reproduces the reference bytes.
+        let resumed = dmdc(&wd, &["run", "--resume", run_id]);
+        assert!(
+            resumed.status.success(),
+            "resume of {run_id} failed: {}",
+            stderr(&resumed)
+        );
+        let err = stderr(&resumed);
+        assert!(
+            err.contains(&format!("resuming run '{run_id}'")),
+            "resume must announce itself on stderr"
+        );
+        assert_eq!(
+            stdout(&resumed),
+            reference,
+            "{run_id}: resumed report must be byte-identical to the uninterrupted run"
+        );
+        let hits = cache_hits(&err);
+        assert!(
+            hits >= entries,
+            "{run_id}: the resume must skip the {entries} cells finished before the kill, \
+             but the store served only {hits}"
+        );
+        // With the shared store on, each cell is written once, to it.
+        let run_store = wd.join(format!("target/dmdc-runs/{run_id}/journal"));
+        assert_eq!(run_store.exists(), store == private, "{run_id}: run store");
 
-    // A second resume replays everything and is still byte-identical.
-    let again = dmdc(&wd, &["run", "--resume", "kill-test"]);
-    assert!(
-        again.status.success(),
-        "re-resume failed: {}",
-        stderr(&again)
-    );
-    assert_eq!(stdout(&again), reference);
+        // A second resume is served entirely by the store and is still
+        // byte-identical.
+        let again = dmdc(&wd, &["run", "--resume", run_id]);
+        assert!(
+            again.status.success(),
+            "re-resume of {run_id} failed: {}",
+            stderr(&again)
+        );
+        assert_eq!(stdout(&again), reference);
+    }
 }
 
 #[test]
@@ -117,7 +166,7 @@ fn killed_sampled_run_resumes_byte_identical() {
         "--profile",
     ];
 
-    // The uninterrupted reference run (no journaling involved).
+    // The uninterrupted reference run (no run id involved).
     let clean = dmdc(&wd, RUN);
     assert!(
         clean.status.success(),
@@ -130,7 +179,7 @@ fn killed_sampled_run_resumes_byte_identical() {
         "expected a sampled stat block, got: {reference}"
     );
 
-    // The same run, journaled, aborted after 6 of its 24 per-window
+    // The same run under a run id, aborted after 6 of its 24 per-window
     // partial-progress envelopes have been sealed — mid-cell, so resume
     // must continue from the envelope, not restart from scratch.
     let mut crash_args = RUN.to_vec();
@@ -146,8 +195,7 @@ fn killed_sampled_run_resumes_byte_identical() {
         "the injected abort must kill the run"
     );
     let run_dir = wd.join("target/dmdc-runs/sampled-kill");
-    let samples = dmdc::core::sampling::sample_envelope_dir(&run_dir);
-    let envelopes = std::fs::read_dir(&samples)
+    let envelopes = std::fs::read_dir(run_dir.join("samples"))
         .expect("samples dir exists")
         .count();
     assert!(
@@ -205,7 +253,7 @@ fn killed_sampled_resume_prefers_shared_checkpoint_store() {
         stderr(&warmup)
     );
 
-    // The same run, journaled and killed mid-cell after 6 windows.
+    // The same run under a run id, killed mid-cell after 6 windows.
     let mut crash_args = RUN.to_vec();
     crash_args.extend(["--run-id", "store-kill", "--inject-faults", "kill-after=6"]);
     let crashed = dmdc(&wd, &crash_args);
@@ -246,18 +294,18 @@ fn killed_sampled_resume_prefers_shared_checkpoint_store() {
 
 #[test]
 fn completed_journaled_run_matches_unjournaled_run() {
-    let wd = workdir("dmdc-journal-noop-wd");
+    let wd = workdir("dmdc-run-id-noop-wd");
     let clean = dmdc(&wd, SUITE);
     assert!(clean.status.success());
 
-    let mut journaled_args = SUITE.to_vec();
-    journaled_args.extend(["--run-id", "full-run"]);
-    let journaled = dmdc(&wd, &journaled_args);
-    assert!(journaled.status.success(), "{}", stderr(&journaled));
+    let mut recorded_args = SUITE.to_vec();
+    recorded_args.extend(["--run-id", "full-run"]);
+    let recorded = dmdc(&wd, &recorded_args);
+    assert!(recorded.status.success(), "{}", stderr(&recorded));
     assert_eq!(
-        stdout(&journaled),
+        stdout(&recorded),
         stdout(&clean),
-        "journaling must not change a successful run's output"
+        "a run id must not change a successful run's output"
     );
 }
 
@@ -273,9 +321,9 @@ fn resume_fails_clearly_on_unknown_or_damaged_runs() {
         stderr(&missing)
     );
 
-    // A journal whose manifest is torn must refuse, not misbehave.
+    // A run whose manifest is torn must refuse, not misbehave.
     let run_dir = wd.join("target/dmdc-runs/torn");
-    std::fs::create_dir_all(run_dir.join("journal")).unwrap();
+    std::fs::create_dir_all(&run_dir).unwrap();
     std::fs::write(run_dir.join("manifest"), "to").unwrap();
     let torn = dmdc(&wd, &["run", "--resume", "torn"]);
     assert!(!torn.status.success());
@@ -286,7 +334,7 @@ fn resume_fails_clearly_on_unknown_or_damaged_runs() {
     );
 
     // A manifest from a different simulator fingerprint must refuse: its
-    // journaled cells cannot be trusted by this binary.
+    // partial progress cannot be trusted by this binary.
     let other = dmdc(
         &wd,
         &[

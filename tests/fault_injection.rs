@@ -268,7 +268,8 @@ fn truncated_journal_entries_are_dropped_on_resume() {
     let clean = dmdc(&wd, SUITE);
     assert!(clean.status.success(), "{}", stderr(&clean));
 
-    // Journal every cell, tearing every second checkpoint, then abort.
+    // Record every cell in the run-private store, tearing every second
+    // write, then abort.
     let crashed = dmdc(
         &wd,
         &suite_with(&[
@@ -280,11 +281,20 @@ fn truncated_journal_entries_are_dropped_on_resume() {
     );
     assert!(!crashed.status.success());
 
-    // Resume: torn entries are dropped (and re-simulated), intact ones
-    // replay; the report is still byte-identical.
-    let resumed = dmdc(&wd, &["run", "--resume", "torn-entries", "--profile"]);
+    // Resume: torn entries are quarantined like any other damaged store
+    // entry (and re-simulated), intact ones are served; the report is
+    // still byte-identical.
+    let resumed = dmdc(&wd, &["run", "--resume", "torn-entries"]);
     assert!(resumed.status.success(), "{}", stderr(&resumed));
     assert_eq!(stdout(&resumed), stdout(&clean));
+    let quarantine = wd.join("target/dmdc-runs/torn-entries/journal/quarantine");
+    assert!(
+        std::fs::read_dir(&quarantine)
+            .map(|d| d.count())
+            .unwrap_or(0)
+            > 0,
+        "torn entries are quarantined, never served"
+    );
 }
 
 #[test]

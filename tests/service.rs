@@ -426,3 +426,41 @@ fn graceful_drain_finishes_queued_jobs_before_exit() {
         }
     }
 }
+
+#[test]
+fn clients_arriving_during_drain_are_refused_not_parked() {
+    // A paused default-scale fig5 job (126 cells) keeps the drain busy
+    // well past the 5 s bound below. Once `POST /shutdown` has been
+    // answered the daemon accepts nothing more, so a late client must
+    // hear back at once — a refused or reset connection, or an answer —
+    // instead of sitting unread in the accept backlog until the process
+    // exits.
+    let state = state_dir("dmdc-service-late-client");
+    let daemon = Daemon::boot(&state, &["--paused"]);
+    let job = r#"{"kind": "experiment", "id": "fig5", "scale": "default"}"#;
+    assert_eq!(daemon.post("/jobs", job).0, 200);
+    assert_eq!(daemon.post("/shutdown", "").0, 200);
+
+    let bound = Duration::from_secs(5);
+    let start = Instant::now();
+    if let Ok(mut stream) = std::net::TcpStream::connect(&daemon.addr) {
+        use std::io::{Read, Write};
+        stream.set_read_timeout(Some(bound)).unwrap();
+        let _ = stream.write_all(b"GET /health HTTP/1.1\r\ncontent-length: 0\r\n\r\n");
+        let mut reply = Vec::new();
+        if let Err(e) = stream.read_to_end(&mut reply) {
+            assert!(
+                !matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ),
+                "a client arriving during the drain was left unanswered for {bound:?}"
+            );
+        }
+    }
+    assert!(
+        start.elapsed() < bound,
+        "late client waited {:?}",
+        start.elapsed()
+    );
+}
