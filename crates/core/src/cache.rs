@@ -31,20 +31,23 @@
 //! processes never observe a torn record. On load the envelope is
 //! verified first: a truncated, bit-flipped, checksum-mismatched or
 //! version-mismatched file is **quarantined** to `quarantine/` under the
-//! cache root (never silently deserialized), recorded in the
-//! [recovery ledger](crate::recovery), counted in [`CacheCounters`], and
-//! the cell transparently regenerated. Hits skip both the simulation and
+//! cache root (never silently deserialized), counted in [`CacheCounters`]
+//! and in the [recovery counters](crate::recovery) of the run context the
+//! store was built for, and the cell transparently regenerated. Hits skip both the simulation and
 //! its emulator-oracle verification — the cache stores only verified
 //! results.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use dmdc_isa::encode;
 use dmdc_workloads::Workload;
 
 use crate::cell::CellResult;
-use crate::recovery::{self, RecoveryKind};
+use crate::faults::FaultPlan;
+use crate::recovery::{Recovery, RecoveryKind};
+use crate::runner::Context;
 use crate::sampling::Checkpoint;
 
 /// Version tag of the dependence-policy implementations in this crate
@@ -262,12 +265,16 @@ pub struct CacheCounters {
 /// envelopes) are built on: one directory of `<key>.<ext>` files, each a
 /// [`seal`]ed body written via tmp + rename, verified before it is
 /// decoded, quarantined to `quarantine/` when damaged or stale, and
-/// counted.
+/// counted. Built [in a context](SealedDir::in_context), it also counts
+/// quarantines in the context's recovery counters and runs the context's
+/// fault plan after every write.
 #[derive(Debug)]
 pub(crate) struct SealedDir {
     dir: PathBuf,
     ext: &'static str,
     fingerprint: String,
+    recovery: Arc<Recovery>,
+    faults: Option<Arc<FaultPlan>>,
     hits: AtomicU64,
     misses: AtomicU64,
     stores: AtomicU64,
@@ -281,12 +288,22 @@ impl SealedDir {
             dir,
             ext,
             fingerprint,
+            recovery: Arc::default(),
+            faults: None,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             stores: AtomicU64::new(0),
             corrupt: AtomicU64::new(0),
             quarantined: AtomicU64::new(0),
         }
+    }
+
+    /// The same directory reporting to `ctx`'s recovery counters and
+    /// consulting its fault plan.
+    pub(crate) fn in_context(mut self, ctx: &Context) -> SealedDir {
+        self.recovery = Arc::clone(&ctx.recovery);
+        self.faults = ctx.faults.clone();
+        self
     }
 
     /// A hasher seeded with `fingerprint ‖ workload digest`, the prefix
@@ -304,8 +321,8 @@ impl SealedDir {
 
     /// Moves a rejected entry into `quarantine/` (best-effort: deletes it
     /// when the move fails, so a broken file can never be consulted
-    /// twice) and records the rejection in the recovery ledger.
-    fn quarantine(&self, key: u64, reason: &str) {
+    /// twice) and counts the rejection in the recovery counters.
+    fn quarantine(&self, key: u64) {
         self.corrupt.fetch_add(1, Ordering::Relaxed);
         let name = self.name_of(key);
         let qdir = self.dir.join("quarantine");
@@ -317,7 +334,7 @@ impl SealedDir {
         } else {
             let _ = std::fs::remove_file(&path);
         }
-        recovery::record(RecoveryKind::CacheQuarantined, name, reason);
+        self.recovery.record(RecoveryKind::CacheQuarantined);
     }
 
     /// Reads entry `key`: absent is a plain miss; a failed seal or a body
@@ -327,14 +344,14 @@ impl SealedDir {
         let loaded = match std::fs::read_to_string(self.dir.join(self.name_of(key))) {
             Err(_) => None,
             Ok(text) => match unseal(&text) {
-                Err(e) => {
-                    self.quarantine(key, e.label());
+                Err(_) => {
+                    self.quarantine(key);
                     None
                 }
                 Ok(body) => {
                     let value = decode(body);
                     if value.is_none() {
-                        self.quarantine(key, "stale-record");
+                        self.quarantine(key);
                     }
                     value
                 }
@@ -358,7 +375,9 @@ impl SealedDir {
         let path = self.dir.join(self.name_of(key));
         if write_sealed(&path, body, tmp_tag(key)) {
             self.stores.fetch_add(1, Ordering::Relaxed);
-            crate::faults::on_sealed_write(&path);
+            if let Some(faults) = &self.faults {
+                faults.on_sealed_write(&path);
+            }
         }
     }
 
@@ -381,7 +400,7 @@ impl SealedDir {
 /// A content-addressed, persistent store of verified [`CellResult`]s,
 /// one `<key>.cell` file per cell.
 #[derive(Debug)]
-pub struct CellCache(SealedDir);
+pub struct CellCache(pub(crate) SealedDir);
 
 impl CellCache {
     /// A cache rooted at `dir` with the default simulator fingerprint.
@@ -466,7 +485,7 @@ const CKPT_MAGIC: &str = "dmdc-ckpt v1";
 /// `checkpoints/quarantine/`, and regenerate transparently (the
 /// fast-forward simply runs).
 #[derive(Debug)]
-pub struct CheckpointStore(SealedDir);
+pub struct CheckpointStore(pub(crate) SealedDir);
 
 impl CheckpointStore {
     /// A store under `root` (the cache root — checkpoints live in its

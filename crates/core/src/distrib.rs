@@ -56,16 +56,16 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
+use dmdc_ooo::{SampleSpec, SimOptions};
 use dmdc_workloads::{full_suite, Scale};
 
 use crate::cache::{default_fingerprint, seal, workload_digest, CellCache};
 use crate::cell::{CellFailure, CellResult, FailureKind};
-use crate::experiments::{Experiment, Plan, PolicyKind, Variant};
-use crate::recovery::{self, RecoveryKind};
+use crate::experiments::{parse_config, parse_scale, scale_token, Experiment, Plan, PolicyKind};
+use crate::recovery::{Recovery, RecoveryKind};
 use crate::report::Report;
-use crate::runner::{self, Engine};
+use crate::runner::{Context, Engine};
 use crate::service::http;
-use crate::service::jobs::{parse_scale, scale_token};
 use crate::service::json::{self, Json};
 
 /// Configuration for one distributed run.
@@ -124,7 +124,7 @@ pub enum PlanDescriptor {
         id: String,
         /// Workload scale.
         scale: Scale,
-        /// Whether the process-wide default sampling mode is on.
+        /// Whether the coordinator's context samples.
         sampled: bool,
     },
     /// The `dmdc suite` matrix: every workload under one policy/config.
@@ -135,20 +135,12 @@ pub enum PlanDescriptor {
         config: u8,
         /// Workload scale.
         scale: Scale,
-        /// Whether the process-wide default sampling mode is on.
+        /// Whether the coordinator's context samples.
         sampled: bool,
     },
 }
 
 impl PlanDescriptor {
-    /// Whether sampled simulation is on for this plan.
-    pub fn sampled(&self) -> bool {
-        match self {
-            PlanDescriptor::Experiment { sampled, .. } => *sampled,
-            PlanDescriptor::Suite { sampled, .. } => *sampled,
-        }
-    }
-
     /// Serializes the descriptor for `GET /plan`.
     pub fn to_json(&self) -> String {
         match self {
@@ -218,38 +210,33 @@ impl PlanDescriptor {
         }
     }
 
-    /// Rebuilds the cell matrix this descriptor names. Deterministic:
-    /// coordinator and workers call this with the same default-sampling
-    /// state (see [`PlanDescriptor::sampled`]) and get byte-identical
-    /// spec lists.
+    /// Rebuilds the cell matrix this descriptor names, with its sampling
+    /// mode applied to every variant. Deterministic: coordinator and
+    /// workers get byte-identical spec lists.
     pub fn plan(&self) -> Result<Plan, String> {
-        match self {
-            PlanDescriptor::Experiment { id, scale, .. } => {
-                let exp = crate::experiments::find_experiment(id)
-                    .ok_or_else(|| format!("unknown experiment `{id}`"))?;
-                Ok(exp.plan(*scale))
-            }
+        let plan = match self {
+            PlanDescriptor::Experiment { id, scale, .. } => crate::experiments::find_experiment(id)
+                .ok_or_else(|| format!("unknown experiment `{id}`"))?
+                .plan(*scale),
             PlanDescriptor::Suite {
                 policy,
                 config,
                 scale,
                 ..
             } => {
-                let config = build_config(*config)?;
-                let variants: Vec<Variant> =
-                    vec![(config, policy.clone(), dmdc_ooo::SimOptions::default())];
-                Ok(Plan::matrix(full_suite(*scale), variants))
+                let config = parse_config(&config.to_string())?;
+                let variants = vec![(config, policy.clone(), SimOptions::default())];
+                Plan::matrix(full_suite(*scale), variants)
             }
-        }
-    }
-}
-
-fn build_config(config: u8) -> Result<dmdc_ooo::CoreConfig, String> {
-    match config {
-        1 => Ok(dmdc_ooo::CoreConfig::config1()),
-        2 => Ok(dmdc_ooo::CoreConfig::config2()),
-        3 => Ok(dmdc_ooo::CoreConfig::config3()),
-        other => Err(format!("unknown config `{other}` (1, 2 or 3)")),
+        };
+        let (PlanDescriptor::Experiment { sampled, .. } | PlanDescriptor::Suite { sampled, .. }) =
+            self;
+        let spec = if *sampled {
+            SampleSpec::standard()
+        } else {
+            SampleSpec::EXACT
+        };
+        Ok(plan.sampled(spec))
     }
 }
 
@@ -602,6 +589,8 @@ struct Coord {
     activity: Mutex<Instant>,
     start: Instant,
     lease_dir: PathBuf,
+    /// The run context's recovery counters.
+    recovery: Arc<Recovery>,
     /// Set (under the table lock) when the run is over.
     done: AtomicBool,
 }
@@ -705,16 +694,21 @@ fn parse_failure_kind(label: &str) -> FailureKind {
 
 /// Executes a plan across a worker fleet and returns `(cells, failures)`
 /// in exactly the shape of [`Engine::run_all_recovered`], so suite and
-/// experiment reducers downstream cannot tell the two paths apart.
+/// experiment reducers downstream cannot tell the two paths apart. The
+/// fleet publishes into `ctx`'s cell cache; reclaims and poisonings count
+/// in `ctx`'s recovery counters.
 pub fn execute_plan_distributed(
+    ctx: &Context,
     desc: &PlanDescriptor,
     opts: &DistribOptions,
 ) -> Result<(Vec<Option<CellResult>>, Vec<CellFailure>), String> {
-    let cache = runner::global_cell_cache()
+    let cache = ctx
+        .cache()
+        .cloned()
         .ok_or("distributed execution publishes through the cell cache (drop --no-cache)")?;
     let plan = desc.plan()?;
     let specs = plan.specs();
-    let engine = Engine::new(&plan.workloads);
+    let engine = Engine::new(ctx, &plan.workloads);
 
     // The shared store's location travels as an absolute path: workers
     // may run from any directory on the shared filesystem.
@@ -785,6 +779,7 @@ pub fn execute_plan_distributed(
         activity: Mutex::new(Instant::now()),
         start: Instant::now(),
         lease_dir,
+        recovery: Arc::clone(&ctx.recovery),
         done: AtomicBool::new(false),
     });
 
@@ -809,16 +804,30 @@ pub fn execute_plan_distributed(
 
     // Spawn the local fleet — unless the pre-sweep already satisfied
     // every cell, in which case there is nothing to shard.
+    // Each worker's stdout is a pipe drained on its own thread; the pipe
+    // closing (the worker exiting) is announced on `exits`.
     let outstanding = coord.lock().outstanding();
     let mut children = Vec::new();
+    let mut drains = Vec::new();
+    let (exited, exits) = mpsc::channel();
     if outstanding > 0 {
         for i in 0..opts.workers {
             match spawn_worker(&addr.to_string(), &format!("w{i}"), opts) {
-                Ok(child) => children.push(child),
+                Ok(mut child) => {
+                    if let Some(mut stdout) = child.stdout.take() {
+                        let exited = exited.clone();
+                        drains.push(std::thread::spawn(move || {
+                            let _ = std::io::copy(&mut stdout, &mut std::io::sink());
+                            let _ = exited.send(());
+                        }));
+                    }
+                    children.push(child);
+                }
                 Err(e) => eprintln!("[distrib] could not spawn worker w{i}: {e}"),
             }
         }
     }
+    drop(exited);
 
     // The supervision loop: reclaim expired leases, and when the fleet
     // goes quiet past the grace period, execute cells locally — the
@@ -844,27 +853,13 @@ pub fn execute_plan_distributed(
         for (r, record) in &reclaims {
             let m = &coord.meta[r.index];
             if r.poisoned {
-                recovery::record(
-                    RecoveryKind::CellPoisoned,
-                    m.workload.clone(),
-                    format!(
-                        "poisoned after losing worker {} (attempt {})",
-                        r.worker, r.attempt
-                    ),
-                );
+                ctx.recovery.record(RecoveryKind::CellPoisoned);
                 eprintln!(
                     "[distrib] cell {} ({}) poisoned after worker {} died (attempt {})",
                     r.index, m.workload, r.worker, r.attempt
                 );
             } else {
-                recovery::record(
-                    RecoveryKind::LeaseReclaimed,
-                    m.workload.clone(),
-                    format!(
-                        "lease of worker {} expired (attempt {})",
-                        r.worker, r.attempt
-                    ),
-                );
+                ctx.recovery.record(RecoveryKind::LeaseReclaimed);
                 eprintln!(
                     "[distrib] reclaimed cell {} ({}) from worker {} (attempt {})",
                     r.index, m.workload, r.worker, r.attempt
@@ -924,22 +919,31 @@ pub fn execute_plan_distributed(
         }
     }
 
-    // Reap the fleet while the listener still answers: each worker's
-    // next claim returns `{done}` and it exits on its own. Stragglers
-    // past the deadline are killed.
-    let deadline = Instant::now() + Duration::from_secs(3);
-    for mut child in children {
-        loop {
-            match child.try_wait() {
-                Ok(Some(_)) => break,
-                _ if Instant::now() >= deadline => {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    break;
-                }
-                _ => std::thread::sleep(Duration::from_millis(5)),
-            }
+    // Reap the fleet while the listener still answers: every claim now
+    // answers `{done}`, including a late worker's first, so each live
+    // worker exits on its own and its stdout pipe closes. Only a wedged
+    // worker still holds its pipe after `LONG_POLL_MAX`, and only that
+    // one is killed.
+    let deadline = Instant::now() + LONG_POLL_MAX;
+    let all_closed = loop {
+        match exits.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+            Ok(()) => {}
+            Err(RecvTimeoutError::Disconnected) => break true,
+            Err(RecvTimeoutError::Timeout) => break false,
         }
+    };
+    for mut child in children {
+        if !all_closed && matches!(child.try_wait(), Ok(None)) {
+            eprintln!(
+                "[distrib] worker pid {} still running {LONG_POLL_MAX:?} after the run ended; killing it",
+                child.id()
+            );
+            let _ = child.kill();
+        }
+        let _ = child.wait();
+    }
+    for drain in drains {
+        let _ = drain.join();
     }
     // Stop the protocol thread: release every handler parked in a long
     // poll (each answers `{done}`), then wake the blocking accept with
@@ -995,12 +999,13 @@ pub fn execute_plan_distributed(
             },
         }
     }
+    let recovered = ctx.recovery();
     eprintln!(
         "[distrib] run complete: {} cells, {} failures, {} reclaims, {} poisoned",
         specs.len(),
         failures.len(),
-        recovery::counters().leases_reclaimed,
-        recovery::counters().cells_poisoned,
+        recovered.leases_reclaimed,
+        recovered.cells_poisoned,
     );
     Ok((cells, failures))
 }
@@ -1009,34 +1014,24 @@ pub fn execute_plan_distributed(
 /// twin of [`crate::experiments::run_experiment`], producing the
 /// byte-identical [`Report`].
 pub fn run_experiment_distributed(
+    ctx: &Context,
     exp: &dyn Experiment,
     scale: Scale,
-    sampled: bool,
     opts: &DistribOptions,
 ) -> Result<Report, String> {
     let desc = PlanDescriptor::Experiment {
         id: exp.id().to_string(),
         scale,
-        sampled,
+        sampled: ctx.sampling().enabled(),
     };
-    let (cells, failures) = execute_plan_distributed(&desc, opts)?;
-    if failures.is_empty() {
-        let cells: Vec<CellResult> = cells
-            .into_iter()
-            .map(|c| c.expect("no failures, so every cell is present"))
-            .collect();
-        Ok(exp.reduce(&cells))
-    } else {
-        let mut report = Report::new(exp.id());
-        for f in failures {
-            report.push_failure(f);
-        }
-        Ok(report)
-    }
+    let (cells, failures) = execute_plan_distributed(ctx, &desc, opts)?;
+    Ok(crate::experiments::report_of(exp, cells, failures))
 }
 
-/// Spawns one `dmdc worker --connect` child, stdout silenced (stdout
-/// belongs to the coordinator's report), stderr shared.
+/// Spawns one `dmdc worker --connect` child, stderr shared. Its stdout
+/// is a pipe the coordinator drains and discards (stdout belongs to the
+/// coordinator's report); the pipe closing is how the reap sees the
+/// worker exit.
 fn spawn_worker(
     addr: &str,
     id: &str,
@@ -1049,7 +1044,7 @@ fn spawn_worker(
         .arg(addr)
         .arg("--id")
         .arg(id)
-        .stdout(std::process::Stdio::null());
+        .stdout(std::process::Stdio::piped());
     if let Some(spec) = &opts.worker_faults {
         cmd.arg("--inject-faults").arg(spec);
     }
@@ -1210,11 +1205,7 @@ fn handle_complete(body: &str, coord: &Coord) -> (u16, String) {
     let record = render_lease(&table, index);
     drop(table);
     if reissued {
-        recovery::record(
-            RecoveryKind::LeaseReclaimed,
-            m.workload.clone(),
-            format!("worker {worker}'s published result failed verification"),
-        );
+        coord.recovery.record(RecoveryKind::LeaseReclaimed);
         eprintln!(
             "[distrib] cell {index} ({}): result from {worker} failed \
              verification; lease re-issued",
@@ -1234,9 +1225,10 @@ const WORKER_MAX_WAIT: Duration = Duration::from_secs(20);
 /// fingerprint, rebuild the spec list, then claim → execute → publish →
 /// complete until the coordinator says `{done}`. Heartbeats run on a
 /// side thread at a third of the lease TTL. Every cell executes through
-/// the ordinary [`Engine`] against the shared store, so a worker's
-/// results are bit-identical to anyone else's.
-pub fn run_worker(addr: &str, id: &str) -> Result<(), String> {
+/// the ordinary [`Engine`] under `ctx` (its retries, watchdog and fault
+/// plan) against the shared store, so a worker's results are
+/// bit-identical to anyone else's.
+pub fn run_worker(ctx: &Context, addr: &str, id: &str) -> Result<(), String> {
     let (status, body) = http::request_with_retry(addr, "GET", "/plan", None, WORKER_MAX_WAIT)?;
     if status != 200 {
         return Err(format!("coordinator {addr} returned {status} for /plan"));
@@ -1258,15 +1250,11 @@ pub fn run_worker(addr: &str, id: &str) -> Result<(), String> {
         .and_then(Json::as_str)
         .ok_or("/plan document has no cache_dir")?;
     let desc = PlanDescriptor::from_json(doc.get("plan").ok_or("/plan document has no plan")?)?;
-    runner::set_default_sampling(if desc.sampled() {
-        dmdc_ooo::SampleSpec::standard()
-    } else {
-        dmdc_ooo::SampleSpec::EXACT
-    });
+    // The descriptor carries the sampling mode into every spec.
     let plan = desc.plan()?;
     let specs = plan.specs();
-    let engine = Engine::new(&plan.workloads)
-        .with_cache(Some(Arc::new(CellCache::new(Path::new(cache_dir)))));
+    let ctx = ctx.clone().with_cell_cache(Path::new(cache_dir));
+    let engine = Engine::new(&ctx, &plan.workloads);
     eprintln!(
         "[worker {id}] joined {addr}: {} cells, store at {cache_dir}",
         specs.len()
@@ -1302,7 +1290,7 @@ pub fn run_worker(addr: &str, id: &str) -> Result<(), String> {
         // Chaos: a stale-claim worker sits on its first lease past the
         // TTL before doing any work, so the cell is re-issued while this
         // worker still intends to finish it.
-        if let Some(ms) = crate::faults::take_stale_claim_ms() {
+        if let Some(ms) = ctx.faults.as_ref().and_then(|f| f.take_stale_claim_ms()) {
             eprintln!("[worker {id}] injected stale-claim: sleeping {ms} ms on cell {index}");
             std::thread::sleep(Duration::from_millis(ms));
         }
@@ -1313,8 +1301,9 @@ pub fn run_worker(addr: &str, id: &str) -> Result<(), String> {
         let hb = {
             let addr = addr.to_string();
             let id = id.to_string();
+            let silent = ctx.faults.as_ref().is_some_and(|f| f.drop_heartbeats);
             std::thread::spawn(move || {
-                if crate::faults::heartbeats_dropped() {
+                if silent {
                     return;
                 }
                 let interval = Duration::from_millis((ttl_ms / 3).max(25));
@@ -1346,7 +1335,9 @@ pub fn run_worker(addr: &str, id: &str) -> Result<(), String> {
         // (on success) already published, but the lease still held and
         // the completion unsent. The coordinator reclaims the lease
         // after the TTL and the next claimant hits the store.
-        crate::faults::on_distrib_cell_done();
+        if let Some(faults) = &ctx.faults {
+            faults.on_distrib_cell_done();
+        }
 
         let complete_body = match &outcome {
             Ok(_) => format!(
@@ -1533,6 +1524,7 @@ mod tests {
             activity: Mutex::new(Instant::now()),
             start: Instant::now(),
             lease_dir: dir.clone(),
+            recovery: Arc::default(),
             done: AtomicBool::new(false),
         });
 

@@ -1,14 +1,12 @@
 //! Definitions of every registry experiment: the paper's tables and
 //! figures (§6) plus the ablations DESIGN.md calls out.
 //!
-//! Each artifact appears in three forms that share one variant list and
-//! one reducer, so they cannot drift apart:
+//! Each artifact appears in two forms that share one variant list and one
+//! reducer, so they cannot drift apart:
 //!
-//! * a typed `*_on` function (e.g. [`fig2_on`]) taking explicit
-//!   workloads/configs and returning the typed row struct — what shape
-//!   tests and library callers use;
-//! * a scale-level convenience wrapper (e.g. [`fig2`]) running the full
-//!   suite with the paper's defaults;
+//! * a typed `*_on` function (e.g. [`fig2_on`]) taking a run
+//!   [`Context`] and explicit workloads/configs and returning the typed
+//!   row struct — what shape tests and library callers use;
 //! * a unit struct (e.g. [`Fig2Exp`]) implementing
 //!   [`Experiment`](super::Experiment), which is what the registry, the
 //!   CLI and the golden-snapshot tests drive.
@@ -26,6 +24,7 @@ use super::{
     PolicyKind, Run, Variant,
 };
 use crate::report::{f1, f2, pct, pct_ci, GroupStat, Report, Table};
+use crate::runner::Context;
 
 /// The per-cell 95% half-width of the store-filter-rate estimate, when
 /// the cell came from a sampled run.
@@ -137,13 +136,8 @@ fn fig2_reduce(chunks: &[Vec<CellResult>]) -> Fig2 {
 }
 
 /// Regenerates Figure 2 on an explicit workload set.
-pub fn fig2_on(workloads: &[Workload], config: &CoreConfig) -> Fig2 {
-    fig2_reduce(&run_matrix(workloads, &fig2_variants(config)))
-}
-
-/// Regenerates Figure 2 at the given scale on config 2.
-pub fn fig2(scale: Scale) -> Fig2 {
-    fig2_on(&full_suite(scale), &CoreConfig::config2())
+pub fn fig2_on(ctx: &Context, workloads: &[Workload], config: &CoreConfig) -> Fig2 {
+    fig2_reduce(&run_matrix(ctx, workloads, &fig2_variants(config)))
 }
 
 impl Fig2 {
@@ -262,13 +256,8 @@ fn fig3_reduce(chunks: &[Vec<CellResult>]) -> Fig3 {
 }
 
 /// Regenerates Figure 3 on an explicit workload set.
-pub fn fig3_on(workloads: &[Workload], config: &CoreConfig) -> Fig3 {
-    fig3_reduce(&run_matrix(workloads, &fig3_variants(config)))
-}
-
-/// Regenerates Figure 3 at the given scale on config 2.
-pub fn fig3(scale: Scale) -> Fig3 {
-    fig3_on(&full_suite(scale), &CoreConfig::config2())
+pub fn fig3_on(ctx: &Context, workloads: &[Workload], config: &CoreConfig) -> Fig3 {
+    fig3_reduce(&run_matrix(ctx, workloads, &fig3_variants(config)))
 }
 
 impl Fig3 {
@@ -419,13 +408,11 @@ fn fig4_reduce(configs: &[CoreConfig], chunks: &[Vec<CellResult>]) -> Fig4 {
 
 /// Regenerates Figure 4 on an explicit workload set across the given
 /// configurations.
-pub fn fig4_on(workloads: &[Workload], configs: &[CoreConfig]) -> Fig4 {
-    fig4_reduce(configs, &run_matrix(workloads, &fig4_variants(configs)))
-}
-
-/// Regenerates Figure 4 at the given scale on all three configurations.
-pub fn fig4(scale: Scale) -> Fig4 {
-    fig4_on(&full_suite(scale), &CoreConfig::all())
+pub fn fig4_on(ctx: &Context, workloads: &[Workload], configs: &[CoreConfig]) -> Fig4 {
+    fig4_reduce(
+        configs,
+        &run_matrix(ctx, workloads, &fig4_variants(configs)),
+    )
 }
 
 impl Fig4 {
@@ -534,16 +521,6 @@ fn yla_energy_reduce(config: &CoreConfig, chunks: &[Vec<CellResult>]) -> YlaEner
         lq_savings: agg(&|c| c.lq_savings),
         total_savings: agg(&|c| c.total_savings),
     }
-}
-
-/// Regenerates the §6.1 YLA-8 energy numbers on an explicit workload set.
-pub fn yla_energy_on(workloads: &[Workload], config: &CoreConfig) -> YlaEnergy {
-    yla_energy_reduce(config, &run_matrix(workloads, &yla_energy_variants(config)))
-}
-
-/// Regenerates the §6.1 YLA-8 energy numbers at the given scale (config 2).
-pub fn yla_energy(scale: Scale) -> YlaEnergy {
-    yla_energy_on(&full_suite(scale), &CoreConfig::config2())
 }
 
 impl YlaEnergy {
@@ -660,23 +637,19 @@ fn window_reduce(runs: &[CellResult], local: bool) -> WindowTable {
 }
 
 /// Regenerates checking-window statistics on an explicit workload set.
-pub fn window_stats_on(workloads: &[Workload], config: &CoreConfig, local: bool) -> WindowTable {
+pub fn window_stats_on(
+    ctx: &Context,
+    workloads: &[Workload],
+    config: &CoreConfig,
+    local: bool,
+) -> WindowTable {
     let runs = run_matrix(
+        ctx,
         workloads,
         &[(config.clone(), dmdc_kind(local), SimOptions::default())],
     )
     .remove(0);
     window_reduce(&runs, local)
-}
-
-/// Table 2 (global DMDC) at the given scale, config 2.
-pub fn table2(scale: Scale) -> WindowTable {
-    window_stats_on(&full_suite(scale), &CoreConfig::config2(), false)
-}
-
-/// Table 4 (local DMDC) at the given scale, config 2.
-pub fn table4(scale: Scale) -> WindowTable {
-    window_stats_on(&full_suite(scale), &CoreConfig::config2(), true)
 }
 
 impl WindowTable {
@@ -831,26 +804,18 @@ fn replay_reduce(runs: &[CellResult], local: bool) -> ReplayTable {
 
 /// Regenerates the false-replay breakdown on an explicit workload set.
 pub fn replay_breakdown_on(
+    ctx: &Context,
     workloads: &[Workload],
     config: &CoreConfig,
     local: bool,
 ) -> ReplayTable {
     let runs = run_matrix(
+        ctx,
         workloads,
         &[(config.clone(), dmdc_kind(local), SimOptions::default())],
     )
     .remove(0);
     replay_reduce(&runs, local)
-}
-
-/// Table 3 (global DMDC) at the given scale, config 2.
-pub fn table3(scale: Scale) -> ReplayTable {
-    replay_breakdown_on(&full_suite(scale), &CoreConfig::config2(), false)
-}
-
-/// Table 5 (local DMDC) at the given scale, config 2.
-pub fn table5(scale: Scale) -> ReplayTable {
-    replay_breakdown_on(&full_suite(scale), &CoreConfig::config2(), true)
 }
 
 impl ReplayTable {
@@ -1016,16 +981,6 @@ fn fig5_reduce(configs: &[CoreConfig], chunks: &[Vec<CellResult>]) -> Fig5 {
     Fig5 { rows }
 }
 
-/// Regenerates Figure 5 on an explicit workload set.
-pub fn fig5_on(workloads: &[Workload], configs: &[CoreConfig]) -> Fig5 {
-    fig5_reduce(configs, &run_matrix(workloads, &fig5_variants(configs)))
-}
-
-/// Regenerates Figure 5 at the given scale on all three configurations.
-pub fn fig5(scale: Scale) -> Fig5 {
-    fig5_on(&full_suite(scale), &CoreConfig::all())
-}
-
 impl Fig5 {
     /// The rendered table.
     pub fn table(&self) -> Table {
@@ -1177,20 +1132,15 @@ fn table6_reduce(rates: &[f64], chunks: &[Vec<CellResult>]) -> Table6 {
 }
 
 /// Regenerates Table 6 on an explicit workload set.
-pub fn table6_on(workloads: &[Workload], config: &CoreConfig, rates: &[f64]) -> Table6 {
+pub fn table6_on(
+    ctx: &Context,
+    workloads: &[Workload],
+    config: &CoreConfig,
+    rates: &[f64],
+) -> Table6 {
     table6_reduce(
         rates,
-        &run_matrix(workloads, &table6_variants(config, rates)),
-    )
-}
-
-/// Regenerates Table 6 at the given scale on config 2 with the paper's
-/// rates (0, 1, 10, 100 invalidations per 1000 cycles).
-pub fn table6(scale: Scale) -> Table6 {
-    table6_on(
-        &full_suite(scale),
-        &CoreConfig::config2(),
-        &DEFAULT_INVAL_RATES,
+        &run_matrix(ctx, workloads, &table6_variants(config, rates)),
     )
 }
 
@@ -1378,32 +1328,6 @@ fn multicore_reduce(
     Multicore { injected, organic }
 }
 
-/// Regenerates the multicore comparison on an explicit workload set (the
-/// injected half) and contention periods (the organic half).
-pub fn multicore_on(
-    workloads: &[Workload],
-    config: &CoreConfig,
-    rates: &[f64],
-    periods: &[u32],
-) -> Multicore {
-    multicore_reduce(
-        rates,
-        &run_matrix(workloads, &multicore_injected_variants(config, rates)),
-        multicore_organic(config, periods),
-    )
-}
-
-/// Regenerates the multicore comparison at the given scale with the
-/// default rates and contention periods on config 2.
-pub fn multicore(scale: Scale) -> Multicore {
-    multicore_on(
-        &full_suite(scale),
-        &CoreConfig::config2(),
-        &DEFAULT_INVAL_RATES,
-        &DEFAULT_SHARING_PERIODS,
-    )
-}
-
 impl Multicore {
     /// The rendered tables, injected sweep first.
     pub fn tables(&self) -> Vec<Table> {
@@ -1549,6 +1473,7 @@ fn cq_reduce(
 
 /// Compares the hash table against associative queues of several depths.
 pub fn checking_queue_ablation_on(
+    ctx: &Context,
     workloads: &[Workload],
     config: &CoreConfig,
     queue_sizes: &[u32],
@@ -1556,7 +1481,7 @@ pub fn checking_queue_ablation_on(
     cq_reduce(
         config,
         queue_sizes,
-        &run_matrix(workloads, &cq_variants(config, queue_sizes)),
+        &run_matrix(ctx, workloads, &cq_variants(config, queue_sizes)),
     )
 }
 
@@ -1650,13 +1575,14 @@ fn table_size_reduce(sizes: &[u32], chunks: &[Vec<CellResult>]) -> TableSizeAbla
 
 /// Sweeps the checking-table size under global DMDC.
 pub fn table_size_ablation_on(
+    ctx: &Context,
     workloads: &[Workload],
     config: &CoreConfig,
     sizes: &[u32],
 ) -> TableSizeAblation {
     table_size_reduce(
         sizes,
-        &run_matrix(workloads, &table_size_variants(config, sizes)),
+        &run_matrix(ctx, workloads, &table_size_variants(config, sizes)),
     )
 }
 
@@ -1750,8 +1676,12 @@ fn safe_load_reduce(chunks: &[Vec<CellResult>]) -> SafeLoadAblation {
 }
 
 /// Measures the false-replay reduction the safe-load logic provides.
-pub fn safe_load_ablation_on(workloads: &[Workload], config: &CoreConfig) -> SafeLoadAblation {
-    safe_load_reduce(&run_matrix(workloads, &safe_load_variants(config)))
+pub fn safe_load_ablation_on(
+    ctx: &Context,
+    workloads: &[Workload],
+    config: &CoreConfig,
+) -> SafeLoadAblation {
+    safe_load_reduce(&run_matrix(ctx, workloads, &safe_load_variants(config)))
 }
 
 impl SafeLoadAblation {
@@ -1850,8 +1780,12 @@ fn sq_filter_reduce(chunks: &[Vec<CellResult>]) -> SqFilterPotential {
 }
 
 /// Measures the §3 SQ-filtering opportunity and exercises the filter.
-pub fn sq_filter_potential_on(workloads: &[Workload], config: &CoreConfig) -> SqFilterPotential {
-    sq_filter_reduce(&run_matrix(workloads, &sq_filter_variants(config)))
+pub fn sq_filter_potential_on(
+    ctx: &Context,
+    workloads: &[Workload],
+    config: &CoreConfig,
+) -> SqFilterPotential {
+    sq_filter_reduce(&run_matrix(ctx, workloads, &sq_filter_variants(config)))
 }
 
 impl SqFilterPotential {
@@ -1935,7 +1869,7 @@ mod tests {
     #[test]
     fn fig2_shape_more_regs_filter_more() {
         let suite = mini_suite();
-        let fig = fig2_on(&suite, &CoreConfig::config2());
+        let fig = fig2_on(&Context::new(), &suite, &CoreConfig::config2());
         assert_eq!(fig.rows.len(), 2 * 5 * 2);
         let qw_int: Vec<&Fig2Row> = fig
             .rows
@@ -1952,7 +1886,7 @@ mod tests {
     #[test]
     fn fig4_reports_all_groups_and_configs() {
         let suite = mini_suite();
-        let fig = fig4_on(&suite, &[CoreConfig::config1()]);
+        let fig = fig4_on(&Context::new(), &suite, &[CoreConfig::config1()]);
         assert_eq!(fig.rows.len(), 2);
         for row in &fig.rows {
             assert!(
@@ -1972,9 +1906,9 @@ mod tests {
     #[test]
     fn window_and_replay_tables_have_both_groups() {
         let suite = mini_suite();
-        let wt = window_stats_on(&suite, &CoreConfig::config2(), false);
+        let wt = window_stats_on(&Context::new(), &suite, &CoreConfig::config2(), false);
         assert_eq!(wt.rows.len(), 2);
-        let rt = replay_breakdown_on(&suite, &CoreConfig::config2(), false);
+        let rt = replay_breakdown_on(&Context::new(), &suite, &CoreConfig::config2(), false);
         assert_eq!(rt.rows.len(), 2);
         assert!(!wt.render().is_empty());
         assert!(!rt.render().is_empty());
@@ -1983,7 +1917,12 @@ mod tests {
     #[test]
     fn table6_zero_rate_is_the_reference() {
         let suite = mini_suite();
-        let t = table6_on(&suite, &CoreConfig::config2(), &[0.0, 10.0]);
+        let t = table6_on(
+            &Context::new(),
+            &suite,
+            &CoreConfig::config2(),
+            &[0.0, 10.0],
+        );
         assert_eq!(t.rows.len(), 4);
         for row in t.rows.iter().take(2) {
             assert!((row.rel_window - 1.0).abs() < 1e-9 || row.rel_window == 0.0);
@@ -1994,7 +1933,7 @@ mod tests {
     #[test]
     fn sq_filter_potential_is_sane() {
         let suite = mini_suite();
-        let p = sq_filter_potential_on(&suite, &CoreConfig::config2());
+        let p = sq_filter_potential_on(&Context::new(), &suite, &CoreConfig::config2());
         for (_, potential, saved, slowdown) in &p.rows {
             assert!((0.0..=1.0).contains(&potential.mean));
             assert!((0.0..=1.0).contains(&saved.mean));
@@ -2008,14 +1947,14 @@ mod tests {
         // for cell: reduce the same mini-matrix both ways.
         let suite = mini_suite();
         let config = CoreConfig::config2();
-        let cells: Vec<CellResult> = run_matrix(&suite, &fig2_variants(&config))
+        let cells: Vec<CellResult> = run_matrix(&Context::new(), &suite, &fig2_variants(&config))
             .into_iter()
             .flatten()
             .collect();
         let report = find_experiment("fig2").unwrap().reduce(&cells);
         assert_eq!(
             report.text(),
-            format!("{}\n", fig2_on(&suite, &config).render())
+            format!("{}\n", fig2_on(&Context::new(), &suite, &config).render())
         );
     }
 }

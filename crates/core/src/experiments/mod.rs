@@ -18,16 +18,17 @@
 //! Cells run concurrently across a worker pool, results come back in
 //! spec order, and the emulator's reference state is computed once per
 //! workload and shared by every cell (see [`crate::runner`]). Output is
-//! byte-identical at any worker count, with or without the cache.
+//! byte-identical at any worker count, with or without the cache. Every
+//! entry point that runs cells takes the [`Context`] to run them under.
 
 use dmdc_energy::StructureGeometry;
 use dmdc_isa::Emulator;
-use dmdc_ooo::{BaselinePolicy, CoreConfig, MemDepPolicy, SimOptions, Simulator};
-use dmdc_workloads::{Group, Scale, Workload};
+use dmdc_ooo::{BaselinePolicy, CoreConfig, MemDepPolicy, SampleSpec, SimOptions, Simulator};
+use dmdc_workloads::{full_suite, Group, Scale, SyntheticKernel, Workload};
 
 use crate::cell::{CellError, CellFailure, FailureKind};
 use crate::report::{GroupStat, Report};
-use crate::runner::{Engine, RunSpec};
+use crate::runner::{Context, Engine, RunSpec};
 use crate::{BloomPolicy, CheckingQueuePolicy, DmdcConfig, DmdcPolicy, Interleave, YlaPolicy};
 
 mod defs;
@@ -212,23 +213,26 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// Plans `variants` over `workloads`. Variants that do not carry
-    /// their own sampling spec pick up the process-wide default
-    /// ([`crate::runner::default_sampling`]) here — before any spec
-    /// description or cache key is derived from them.
-    pub fn matrix(workloads: Vec<Workload>, mut variants: Vec<Variant>) -> Plan {
-        let default_spec = crate::runner::default_sampling();
-        if default_spec.enabled() {
-            for (_, _, opts) in &mut variants {
-                if !opts.sampling.enabled() {
-                    opts.sampling = default_spec;
-                }
-            }
-        }
+    /// Plans `variants` over `workloads`.
+    pub fn matrix(workloads: Vec<Workload>, variants: Vec<Variant>) -> Plan {
         Plan {
             workloads,
             variants,
         }
+    }
+
+    /// Gives every variant that does not carry its own sampling spec
+    /// `spec` — before any spec description or cache key is derived from
+    /// them, so sampled and exact cells never collide.
+    pub fn sampled(mut self, spec: SampleSpec) -> Plan {
+        if spec.enabled() {
+            for (_, _, opts) in &mut self.variants {
+                if !opts.sampling.enabled() {
+                    opts.sampling = spec;
+                }
+            }
+        }
+        self
     }
 
     /// Total number of cells (`workloads × variants`).
@@ -313,37 +317,93 @@ pub fn find_experiment(id: &str) -> Option<&'static dyn Experiment> {
     registry().iter().copied().find(|e| e.id() == id)
 }
 
+/// Stable scale token (`smoke`/`default`/`large`/`full`).
+pub fn scale_token(scale: Scale) -> &'static str {
+    match scale {
+        Scale::Smoke => "smoke",
+        Scale::Default => "default",
+        Scale::Large => "large",
+        Scale::Full => "full",
+    }
+}
+
+/// Parses a [`scale_token`].
+pub fn parse_scale(token: &str) -> Result<Scale, String> {
+    match token {
+        "smoke" => Ok(Scale::Smoke),
+        "default" => Ok(Scale::Default),
+        "large" => Ok(Scale::Large),
+        "full" => Ok(Scale::Full),
+        other => Err(format!("unknown scale `{other}`")),
+    }
+}
+
+/// Parses a machine-configuration token (`1`, `2` or `3`, the paper's
+/// Table 1 configs).
+pub fn parse_config(token: &str) -> Result<CoreConfig, String> {
+    match token {
+        "1" => Ok(CoreConfig::config1()),
+        "2" => Ok(CoreConfig::config2()),
+        "3" => Ok(CoreConfig::config3()),
+        other => Err(format!("unknown config `{other}` (1, 2 or 3)")),
+    }
+}
+
+/// Materializes a workload by name at `scale`: a suite kernel, or the
+/// parameterized `synthetic` kernel.
+pub fn find_workload(name: &str, scale: Scale) -> Result<Workload, String> {
+    if name == "synthetic" {
+        return Ok(SyntheticKernel::new(20_000 * scale.factor())
+            .branch_noise(true)
+            .build());
+    }
+    full_suite(scale)
+        .into_iter()
+        .find(|w| w.name == name)
+        .ok_or_else(|| format!("unknown workload `{name}` (see `dmdc list`)"))
+}
+
+/// Plans one registry experiment at `scale` under `ctx`'s sampling spec
+/// (for every variant without one of its own).
+pub(crate) fn plan_experiment(ctx: &Context, exp: &dyn Experiment, scale: Scale) -> Plan {
+    exp.plan(scale).sampled(ctx.sampling())
+}
+
 /// Runs one registry experiment end to end (plan → run → reduce) at the
-/// given scale, using the process-default engine (worker count, cell
-/// cache, retry policy).
+/// given scale under `ctx`: its sampling spec, worker count, stores and
+/// retry policy.
 ///
 /// Cells that exhaust their retries are quarantined: the returned
 /// [`Report`] then carries the structured [`CellFailure`] records instead
 /// of the reduced tables (a partial matrix cannot be reduced honestly),
 /// and the process lives on to run the remaining experiments.
-pub fn run_experiment(exp: &dyn Experiment, scale: Scale) -> Report {
-    let plan = exp.plan(scale);
-    let (cells, failures) = execute_plan(&plan);
+pub fn run_experiment(ctx: &Context, exp: &dyn Experiment, scale: Scale) -> Report {
+    let (cells, failures) = execute_plan(ctx, &plan_experiment(ctx, exp, scale));
+    report_of(exp, cells, failures)
+}
+
+/// `exp`'s report over its executed plan: the reduced tables, or the
+/// [`CellFailure`] records when any cell was quarantined.
+pub(crate) fn report_of(
+    exp: &dyn Experiment,
+    cells: Vec<Option<CellResult>>,
+    failures: Vec<CellFailure>,
+) -> Report {
     if failures.is_empty() {
-        let cells: Vec<CellResult> = cells
-            .into_iter()
-            .map(|c| c.expect("no failures, so every cell is present"))
-            .collect();
-        exp.reduce(&cells)
-    } else {
-        let mut report = Report::new(exp.id());
-        for f in failures {
-            report.push_failure(f);
-        }
-        report
+        return exp.reduce(&cells.into_iter().flatten().collect::<Vec<_>>());
     }
+    let mut report = Report::new(exp.id());
+    for f in failures {
+        report.push_failure(f);
+    }
+    report
 }
 
 /// Executes a plan's cells through one engine, logging the engine's
 /// sharing counters to stderr (stdout stays reserved for the tables).
 /// Failed cells come back as `None` slots plus their [`CellFailure`]s.
-fn execute_plan(plan: &Plan) -> (Vec<Option<CellResult>>, Vec<CellFailure>) {
-    let engine = Engine::new(&plan.workloads);
+fn execute_plan(ctx: &Context, plan: &Plan) -> (Vec<Option<CellResult>>, Vec<CellFailure>) {
+    let engine = Engine::new(ctx, &plan.workloads);
     let specs = plan.specs();
     let (cells, failures) = engine.run_all_recovered(&specs);
     log_engine(&engine, specs.len());
@@ -374,25 +434,27 @@ fn log_engine(engine: &Engine<'_>, cells: usize) {
 /// panic, so the engine's fault-tolerant layer can retry or quarantine
 /// the cell without killing the process.
 pub(crate) fn execute_verified(
+    ctx: &Context,
     workload: &Workload,
     config: &CoreConfig,
     policy_kind: &PolicyKind,
     mut opts: SimOptions,
     oracle: impl FnOnce() -> Result<(u64, u64), String>,
 ) -> Result<CellResult, CellError> {
-    if crate::runner::profile_enabled() {
+    if ctx.profile.is_some() {
         opts.profile = true;
     }
     if opts.sampling.enabled() {
-        return crate::sampling::execute_sampled(workload, config, policy_kind, opts, oracle);
+        return crate::sampling::execute_sampled(ctx, workload, config, policy_kind, opts, oracle);
     }
-    execute_exact(workload, config, policy_kind, opts, oracle)
+    execute_exact(ctx, workload, config, policy_kind, opts, oracle)
 }
 
 /// The exact (every-instruction) execution path: one detailed simulation,
 /// verified against the emulator reference when it halts. Also the
 /// sampling engine's fallback for populations too small to sample.
 pub(crate) fn execute_exact(
+    ctx: &Context,
     workload: &Workload,
     config: &CoreConfig,
     policy_kind: &PolicyKind,
@@ -437,7 +499,7 @@ pub(crate) fn execute_exact(
         }
     }
     if let Some(profile) = &result.profile {
-        crate::runner::record_profile(profile, &result.stats);
+        ctx.record_profile(profile, &result.stats);
     }
     Ok(CellResult {
         workload: workload.name.to_string(),
@@ -449,8 +511,9 @@ pub(crate) fn execute_exact(
 /// Runs `workload` under `policy_kind` on `config`, verifying the final
 /// architectural state against the functional emulator when the run halts.
 ///
-/// This is the standalone single-run entry point (CLI `run`, correctness
-/// tests). Experiments instead batch their cells through
+/// This is the standalone single-run entry point (correctness tests,
+/// examples), under a fresh exact [`Context`] with nothing installed.
+/// Experiments instead batch their cells through
 /// [`crate::runner::Engine`], which memoizes the emulator oracle across
 /// cells and consults the cell cache; here each call emulates afresh and
 /// nothing is cached.
@@ -468,7 +531,24 @@ pub fn run_workload(
     policy_kind: &PolicyKind,
     opts: SimOptions,
 ) -> CellResult {
-    execute_verified(workload, config, policy_kind, opts, || {
+    run_workload_in(&Context::new(), workload, config, policy_kind, opts)
+}
+
+/// [`run_workload`] under `ctx`: a sampled run consults the context's
+/// checkpoint store, run directory and checkpoint memo, and reports into
+/// its profile sink and recovery counters (CLI `dmdc run --sampled`).
+///
+/// # Panics
+///
+/// Panics like [`run_workload`].
+pub fn run_workload_in(
+    ctx: &Context,
+    workload: &Workload,
+    config: &CoreConfig,
+    policy_kind: &PolicyKind,
+    opts: SimOptions,
+) -> CellResult {
+    execute_verified(ctx, workload, config, policy_kind, opts, || {
         let mut emu = Emulator::new(&workload.program);
         let retired = emu
             .run(u64::MAX)
@@ -514,9 +594,13 @@ where
 ///
 /// Panics if any cell is quarantined — the typed `*_on` entry points
 /// return bare tables with nowhere to surface structured failures.
-pub(crate) fn run_matrix(workloads: &[Workload], variants: &[Variant]) -> Vec<Vec<CellResult>> {
-    let plan = Plan::matrix(workloads.to_vec(), variants.to_vec());
-    let (cells, failures) = execute_plan(&plan);
+pub(crate) fn run_matrix(
+    ctx: &Context,
+    workloads: &[Workload],
+    variants: &[Variant],
+) -> Vec<Vec<CellResult>> {
+    let plan = Plan::matrix(workloads.to_vec(), variants.to_vec()).sampled(ctx.sampling());
+    let (cells, failures) = execute_plan(ctx, &plan);
     if let Some(f) = failures.first() {
         panic!(
             "cell {} quarantined after {} attempts: [{}] {}",

@@ -11,7 +11,7 @@
 //!   name, so the same plan always breaks the same cells regardless of
 //!   scheduling, and by default only on a cell's first attempt, so a
 //!   retry demonstrably recovers it;
-//! * **durable-write faults** — [`on_sealed_write`] runs after every
+//! * **durable-write faults** — [`FaultPlan::on_sealed_write`] runs after every
 //!   sealed record write (cell store, checkpoint store, partial-progress
 //!   envelope). `corrupt=N` flips a byte in every Nth write, simulating
 //!   bit rot the next lookup must quarantine; `truncate=N` (alias
@@ -27,20 +27,15 @@
 //!
 //! Plans are spelled as compact `key=value` strings (see
 //! [`FaultPlan::parse`]) so the CLI (`dmdc ... --inject-faults ...`), CI
-//! smoke jobs and integration tests all share one vocabulary. Production
-//! runs never install a plan; the hooks then cost one relaxed atomic
-//! load.
+//! smoke jobs and integration tests all share one vocabulary. A plan
+//! lives in a run [`Context`](crate::runner::Context) and in the stores
+//! built for it; production runs carry none, and each hook site then
+//! costs one `Option` check.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 use crate::cache::Fnv64;
-
-/// The installed plan, if any. `ACTIVE` mirrors `PLAN.is_some()` so the
-/// hooks on hot paths skip the mutex entirely when injection is off.
-static PLAN: Mutex<Option<Arc<FaultPlan>>> = Mutex::new(None);
-static ACTIVE: AtomicBool = AtomicBool::new(false);
 
 /// A deterministic fault-injection schedule. All periods default to 0
 /// (= never fire).
@@ -144,102 +139,80 @@ impl FaultPlan {
     }
 }
 
-/// Installs (or, with `None`, removes) the process-wide fault plan.
-pub fn set_fault_plan(plan: Option<FaultPlan>) {
-    let mut slot = PLAN.lock().unwrap_or_else(|p| p.into_inner());
-    ACTIVE.store(plan.is_some(), Ordering::Release);
-    *slot = plan.map(Arc::new);
-}
-
-fn active() -> Option<Arc<FaultPlan>> {
-    if !ACTIVE.load(Ordering::Acquire) {
-        return None;
+impl FaultPlan {
+    /// Hook: start of one isolated cell attempt. May panic or sleep.
+    pub fn on_cell_attempt(&self, workload: &str, attempt: u32) {
+        if self.selects(self.panic_period, workload, "panic") && attempt < self.panic_attempts {
+            panic!("injected fault: cell panic (workload {workload}, attempt {attempt})");
+        }
+        if self.selects(self.hang_period, workload, "hang") && attempt == 0 {
+            std::thread::sleep(std::time::Duration::from_millis(self.hang_ms));
+        }
     }
-    PLAN.lock().unwrap_or_else(|p| p.into_inner()).clone()
-}
 
-/// Hook: start of one isolated cell attempt. May panic or sleep.
-pub fn on_cell_attempt(workload: &str, attempt: u32) {
-    let Some(plan) = active() else { return };
-    if plan.selects(plan.panic_period, workload, "panic") && attempt < plan.panic_attempts {
-        panic!("injected fault: cell panic (workload {workload}, attempt {attempt})");
+    /// Hook: a worker is about to claim cell `index`. Panics outside the
+    /// per-cell isolation exactly once per plan, killing the worker thread.
+    pub fn on_worker_cell(&self, index: usize) {
+        if self.worker_panic && !self.worker_fired.swap(true, Ordering::Relaxed) {
+            panic!("injected fault: worker death at cell {index}");
+        }
     }
-    if plan.selects(plan.hang_period, workload, "hang") && attempt == 0 {
-        std::thread::sleep(std::time::Duration::from_millis(plan.hang_ms));
-    }
-}
 
-/// Hook: a worker is about to claim cell `index`. Panics outside the
-/// per-cell isolation exactly once per plan, killing the worker thread.
-pub fn on_worker_cell(index: usize) {
-    let Some(plan) = active() else { return };
-    if plan.worker_panic && !plan.worker_fired.swap(true, Ordering::Relaxed) {
-        panic!("injected fault: worker death at cell {index}");
-    }
-}
-
-/// Hook: a sealed record (cell store, checkpoint store or
-/// partial-progress envelope) was just renamed into place. Writes are
-/// counted from 0; with `corrupt=N` write `n` gets its last byte flipped
-/// when `(n + seed) % N == 0`, preserving length (a checksum-mismatch
-/// quarantine, not a truncation); with `truncate=N` it is cut in half
-/// under the same rule. After `kill_after` writes the process aborts —
-/// the reproducible SIGKILL crash/resume tests lean on.
-pub fn on_sealed_write(path: &Path) {
-    let Some(plan) = active() else { return };
-    let n = plan.sealed_writes.fetch_add(1, Ordering::Relaxed);
-    let fires = |period: u64| period > 0 && (n + plan.seed).is_multiple_of(period);
-    if fires(plan.corrupt_period) {
-        if let Ok(mut bytes) = std::fs::read(path) {
-            if let Some(b) = bytes.last_mut() {
-                *b ^= 0x01;
-                let _ = std::fs::write(path, bytes);
+    /// Hook: a sealed record (cell store, checkpoint store or
+    /// partial-progress envelope) was just renamed into place. Writes are
+    /// counted from 0; with `corrupt=N` write `n` gets its last byte
+    /// flipped when `(n + seed) % N == 0`, preserving length (a
+    /// checksum-mismatch quarantine, not a truncation); with `truncate=N`
+    /// it is cut in half under the same rule. After `kill_after` writes
+    /// the process aborts — the reproducible SIGKILL crash/resume tests
+    /// lean on.
+    pub fn on_sealed_write(&self, path: &Path) {
+        let n = self.sealed_writes.fetch_add(1, Ordering::Relaxed);
+        let fires = |period: u64| period > 0 && (n + self.seed).is_multiple_of(period);
+        if fires(self.corrupt_period) {
+            if let Ok(mut bytes) = std::fs::read(path) {
+                if let Some(b) = bytes.last_mut() {
+                    *b ^= 0x01;
+                    let _ = std::fs::write(path, bytes);
+                }
             }
         }
-    }
-    if fires(plan.truncate_period) {
-        if let Ok(bytes) = std::fs::read(path) {
-            let _ = std::fs::write(path, &bytes[..bytes.len() / 2]);
+        if fires(self.truncate_period) {
+            if let Ok(bytes) = std::fs::read(path) {
+                let _ = std::fs::write(path, &bytes[..bytes.len() / 2]);
+            }
+        }
+        if self.kill_after > 0 && n + 1 >= self.kill_after {
+            eprintln!("injected fault: aborting after {} durable writes", n + 1);
+            std::process::abort();
         }
     }
-    if plan.kill_after > 0 && n + 1 >= plan.kill_after {
-        eprintln!("injected fault: aborting after {} durable writes", n + 1);
-        std::process::abort();
-    }
-}
 
-/// Hook: a distributed worker just completed (and published) one cell.
-/// With `worker-kill-after=N`, the process aborts after the Nth — the
-/// reproducible kill -9 the distributed recovery tests lean on.
-pub fn on_distrib_cell_done() {
-    let Some(plan) = active() else { return };
-    if plan.worker_kill_after == 0 {
-        return;
+    /// Hook: a distributed worker just completed (and published) one
+    /// cell. With `worker-kill-after=N`, the process aborts after the Nth
+    /// — the reproducible kill -9 the distributed recovery tests lean on.
+    pub fn on_distrib_cell_done(&self) {
+        if self.worker_kill_after == 0 {
+            return;
+        }
+        let n = self.distrib_completed.fetch_add(1, Ordering::Relaxed) + 1;
+        if n >= self.worker_kill_after {
+            eprintln!("injected fault: worker aborting after {n} completed cells");
+            std::process::abort();
+        }
     }
-    let n = plan.distrib_completed.fetch_add(1, Ordering::Relaxed) + 1;
-    if n >= plan.worker_kill_after {
-        eprintln!("injected fault: worker aborting after {n} completed cells");
-        std::process::abort();
-    }
-}
 
-/// Hook: should the distributed worker's heartbeat thread stay silent?
-/// (`drop-heartbeats=1` — leases expire under a live worker.)
-pub fn heartbeats_dropped() -> bool {
-    active().map(|p| p.drop_heartbeats).unwrap_or(false)
-}
-
-/// Hook: one-shot stale-claim delay in milliseconds, taken by the
-/// distributed worker before completing its first cell. With a lease TTL
-/// shorter than the delay, the completion arrives from an expired lease
-/// holder — the coordinator must reject it as stale while the re-issued
-/// lease produces the result.
-pub fn take_stale_claim_ms() -> Option<u64> {
-    let plan = active()?;
-    if plan.stale_claim_ms == 0 || plan.stale_claim_fired.swap(true, Ordering::Relaxed) {
-        return None;
+    /// Hook: one-shot stale-claim delay in milliseconds, taken by the
+    /// distributed worker before completing its first cell. With a lease
+    /// TTL shorter than the delay, the completion arrives from an expired
+    /// lease holder — the coordinator must reject it as stale while the
+    /// re-issued lease produces the result.
+    pub fn take_stale_claim_ms(&self) -> Option<u64> {
+        if self.stale_claim_ms == 0 || self.stale_claim_fired.swap(true, Ordering::Relaxed) {
+            return None;
+        }
+        Some(self.stale_claim_ms)
     }
-    Some(plan.stale_claim_ms)
 }
 
 #[cfg(test)]

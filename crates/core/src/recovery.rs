@@ -1,20 +1,17 @@
-//! Process-wide recovery ledger: every fault the engine survives — a
-//! retried panic, a quarantined store entry (a torn crash-resume record
-//! included), a lost worker thread — is recorded here as a structured
-//! [`RecoveryEvent`] and tallied in the [`RecoveryCounters`].
+//! The recovery counters: every fault the engine survives — a retried
+//! panic, a quarantined store entry (a torn crash-resume record
+//! included), a lost worker thread, a reclaimed or poisoned lease — is
+//! tallied by [`RecoveryKind`] in the recovery counters of its run
+//! [`Context`](crate::runner::Context), shared by the context's engine
+//! and stores.
 //!
-//! The ledger is the observability half of the fault-tolerant execution
-//! layer: `--profile` prints the counters, the fault-injection tests
-//! assert that every injected fault shows up as exactly the expected
-//! event, and CI's kill/resume job checks the resume counters. Recording
-//! never fails and never blocks progress; when the ledger is full (a
-//! pathological fault storm) further events are counted but not stored.
+//! The counters are the observability half of the fault-tolerant
+//! execution layer: `--profile` prints them as one `[profile] recovery:`
+//! line, the fault-injection tests parse that line, and CI's kill/resume
+//! job checks the resume counters. Recording never fails and never
+//! blocks progress.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-/// Upper bound on retained events — counters keep counting past it.
-const MAX_EVENTS: usize = 4096;
 
 /// What kind of fault was survived.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,44 +39,8 @@ pub enum RecoveryKind {
     CellPoisoned,
 }
 
-impl RecoveryKind {
-    /// Stable label used in rendered reports and test assertions.
-    pub fn label(&self) -> &'static str {
-        match self {
-            RecoveryKind::CellRetry => "cell-retry",
-            RecoveryKind::CellQuarantined => "cell-quarantined",
-            RecoveryKind::CacheQuarantined => "cache-quarantined",
-            RecoveryKind::WorkerLost => "worker-lost",
-            RecoveryKind::CellResumed => "cell-resumed",
-            RecoveryKind::LeaseReclaimed => "lease-reclaimed",
-            RecoveryKind::CellPoisoned => "cell-poisoned",
-        }
-    }
-}
-
-/// One survived fault: what happened, to what, and any specifics.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecoveryEvent {
-    /// Fault class.
-    pub kind: RecoveryKind,
-    /// What it happened to (workload name, store file).
-    pub subject: String,
-    /// Human-readable specifics (panic message, checksum mismatch, ...).
-    pub detail: String,
-}
-
-static EVENTS: Mutex<Vec<RecoveryEvent>> = Mutex::new(Vec::new());
-
-static RETRIES: AtomicU64 = AtomicU64::new(0);
-static CELL_FAILURES: AtomicU64 = AtomicU64::new(0);
-static CACHE_QUARANTINED: AtomicU64 = AtomicU64::new(0);
-static WORKERS_LOST: AtomicU64 = AtomicU64::new(0);
-static CELLS_RESUMED: AtomicU64 = AtomicU64::new(0);
-static LEASES_RECLAIMED: AtomicU64 = AtomicU64::new(0);
-static CELLS_POISONED: AtomicU64 = AtomicU64::new(0);
-
-/// Totals per fault class since the last [`take_events`]-independent
-/// [`reset`]. Snapshot via [`counters`].
+/// Totals per fault class, snapshot via
+/// [`Context::recovery`](crate::runner::Context::recovery).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryCounters {
     /// Cell attempts retried after a panic, timeout or error.
@@ -105,59 +66,30 @@ impl RecoveryCounters {
     }
 }
 
-/// Records one survived fault.
-pub fn record(kind: RecoveryKind, subject: impl Into<String>, detail: impl Into<String>) {
-    match kind {
-        RecoveryKind::CellRetry => &RETRIES,
-        RecoveryKind::CellQuarantined => &CELL_FAILURES,
-        RecoveryKind::CacheQuarantined => &CACHE_QUARANTINED,
-        RecoveryKind::WorkerLost => &WORKERS_LOST,
-        RecoveryKind::CellResumed => &CELLS_RESUMED,
-        RecoveryKind::LeaseReclaimed => &LEASES_RECLAIMED,
-        RecoveryKind::CellPoisoned => &CELLS_POISONED,
-    }
-    .fetch_add(1, Ordering::Relaxed);
-    let mut events = EVENTS.lock().expect("recovery ledger poisoned");
-    if events.len() < MAX_EVENTS {
-        events.push(RecoveryEvent {
-            kind,
-            subject: subject.into(),
-            detail: detail.into(),
-        });
-    }
+/// One run context's recovery counters, indexed by [`RecoveryKind`].
+#[derive(Debug, Default)]
+pub(crate) struct Recovery {
+    counts: [AtomicU64; 7],
 }
 
-/// Snapshot of the per-class totals.
-pub fn counters() -> RecoveryCounters {
-    RecoveryCounters {
-        retries: RETRIES.load(Ordering::Relaxed),
-        cell_failures: CELL_FAILURES.load(Ordering::Relaxed),
-        cache_quarantined: CACHE_QUARANTINED.load(Ordering::Relaxed),
-        workers_lost: WORKERS_LOST.load(Ordering::Relaxed),
-        cells_resumed: CELLS_RESUMED.load(Ordering::Relaxed),
-        leases_reclaimed: LEASES_RECLAIMED.load(Ordering::Relaxed),
-        cells_poisoned: CELLS_POISONED.load(Ordering::Relaxed),
+impl Recovery {
+    /// Counts one survived fault.
+    pub fn record(&self, kind: RecoveryKind) {
+        self.counts[kind as usize].fetch_add(1, Ordering::Relaxed);
     }
-}
 
-/// Drains the retained events (counters are left untouched).
-pub fn take_events() -> Vec<RecoveryEvent> {
-    std::mem::take(&mut *EVENTS.lock().expect("recovery ledger poisoned"))
-}
-
-/// Clears events and counters (tests isolate themselves with this).
-pub fn reset() {
-    take_events();
-    for c in [
-        &RETRIES,
-        &CELL_FAILURES,
-        &CACHE_QUARANTINED,
-        &WORKERS_LOST,
-        &CELLS_RESUMED,
-        &LEASES_RECLAIMED,
-        &CELLS_POISONED,
-    ] {
-        c.store(0, Ordering::Relaxed);
+    /// Snapshot of the per-class totals.
+    pub fn counters(&self) -> RecoveryCounters {
+        let count = |kind: RecoveryKind| self.counts[kind as usize].load(Ordering::Relaxed);
+        RecoveryCounters {
+            retries: count(RecoveryKind::CellRetry),
+            cell_failures: count(RecoveryKind::CellQuarantined),
+            cache_quarantined: count(RecoveryKind::CacheQuarantined),
+            workers_lost: count(RecoveryKind::WorkerLost),
+            cells_resumed: count(RecoveryKind::CellResumed),
+            leases_reclaimed: count(RecoveryKind::LeaseReclaimed),
+            cells_poisoned: count(RecoveryKind::CellPoisoned),
+        }
     }
 }
 
@@ -180,19 +112,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn recording_tallies_and_drains() {
-        reset();
-        record(RecoveryKind::CellRetry, "histo", "injected panic");
-        record(RecoveryKind::CacheQuarantined, "deadbeef.cell", "checksum");
-        let c = counters();
-        assert_eq!(c.retries, 1);
-        assert_eq!(c.cache_quarantined, 1);
+    fn recording_tallies_per_kind() {
+        let ledger = Recovery::default();
+        assert!(!ledger.counters().any());
+        ledger.record(RecoveryKind::CellRetry);
+        ledger.record(RecoveryKind::CacheQuarantined);
+        ledger.record(RecoveryKind::CellPoisoned);
+        let c = ledger.counters();
+        assert_eq!(
+            (c.retries, c.cache_quarantined, c.cells_poisoned),
+            (1, 1, 1)
+        );
+        assert_eq!(c.cell_failures + c.workers_lost + c.cells_resumed, 0);
         assert!(c.any());
-        let events = take_events();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].kind.label(), "cell-retry");
-        assert!(take_events().is_empty(), "drained");
-        reset();
-        assert!(!counters().any());
     }
 }

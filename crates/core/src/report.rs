@@ -10,7 +10,7 @@
 
 pub use self::fmt::{f1, f1_ci, f2, f2_ci, pct, pct_ci};
 
-use crate::cell::CellFailure;
+use crate::cell::{CellFailure, CellResult};
 
 /// The one place experiment output formats numbers.
 ///
@@ -117,6 +117,56 @@ impl Table {
             headers: Vec::new(),
             rows: Vec::new(),
         }
+    }
+
+    /// The six-column per-cell table `dmdc suite` prints and a daemon
+    /// cell job returns: workload, group, IPC, replays per million, safe
+    /// stores and safe loads. Sampled cells show each estimate with its
+    /// 95% half-width; exact cells render plain.
+    pub fn cells<'c>(
+        title: impl Into<String>,
+        cells: impl IntoIterator<Item = &'c CellResult>,
+    ) -> Table {
+        let mut t = Table::new(title);
+        t.headers([
+            "workload",
+            "group",
+            "IPC",
+            "replays/1M",
+            "safe stores",
+            "safe loads",
+        ]);
+        for cell in cells {
+            let s = &cell.stats;
+            let sp = &s.sampling;
+            let [ipc, replays, stores, loads] = if s.is_sampled() {
+                [
+                    fmt::f2_ci(s.ipc(), sp.ipc_ci()),
+                    fmt::f1_ci(
+                        s.per_million(s.policy.replays.total()),
+                        sp.replays_per_m_ci(),
+                    ),
+                    fmt::pct_ci(s.policy.store_filter_rate(), sp.filter_rate_ci()),
+                    fmt::pct_ci(s.policy.safe_load_rate(), sp.safe_load_rate_ci()),
+                ]
+            } else {
+                [
+                    fmt::f2(s.ipc()),
+                    fmt::f1(s.per_million(s.policy.replays.total())),
+                    fmt::pct(s.policy.store_filter_rate()),
+                    fmt::pct(s.policy.safe_load_rate()),
+                ]
+            };
+            t.row([
+                cell.workload.clone(),
+                cell.group.to_string(),
+                ipc,
+                replays,
+                stores,
+                loads,
+            ]);
+        }
+        t
     }
 
     /// Sets the column headers.

@@ -1,4 +1,4 @@
-//! The parallel, deterministic experiment engine.
+//! The parallel, deterministic experiment engine and its run context.
 //!
 //! Every figure/table regenerator expresses its work as a flat list of
 //! independent [`RunSpec`] cells — one (workload, config, policy, options)
@@ -15,18 +15,24 @@
 //! workload per engine and shared across every policy × config cell. The
 //! [`Engine::oracle_stats`] counters make the sharing observable.
 //!
-//! An engine can additionally carry a persistent [`CellCache`]
-//! ([`Engine::with_cache`], or process-wide via
-//! [`set_global_cell_cache`]): each cell is then looked up by content
-//! address before simulating, and a hit returns the previously verified
-//! result without running either the simulator or the emulator oracle.
-//! Because the cache stores full [`CellResult`]s keyed on everything that
-//! can influence them (see [`crate::cache`]), reducers cannot tell cached
-//! and fresh cells apart.
+//! Everything an engine reads besides its cells lives in one explicit
+//! [`Context`]: the worker count, retries, cell watchdog and default
+//! sampling spec; the persistent [`CellCache`] and checkpoint store and
+//! the run directory; the profile sink, the fault plan, the recovery
+//! counters and the in-process checkpoint memo. Each front end builds one
+//! — `dmdc` from its flags, `dmdc serve` at boot, `dmdc worker` from the
+//! plan it joins — and passes it down. Nothing below it reads process
+//! state, so two contexts run side by side in one process without seeing
+//! each other. With a cell cache installed, each cell is looked up by
+//! content address before simulating, and a hit returns the previously
+//! verified result without running either the simulator or the emulator
+//! oracle. Because the cache stores full [`CellResult`]s keyed on
+//! everything that can influence them (see [`crate::cache`]), reducers
+//! cannot tell cached and fresh cells apart.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::Duration;
 
@@ -36,10 +42,12 @@ use dmdc_ooo::{
 };
 use dmdc_workloads::Workload;
 
-use crate::cache::{workload_digest, CacheCounters, CellCache};
+use crate::cache::{workload_digest, CacheCounters, CellCache, CheckpointStore};
 use crate::cell::{CellError, CellFailure, CellResult, FailureKind};
 use crate::experiments::{PolicyKind, Run};
-use crate::recovery::{self, RecoveryKind};
+use crate::faults::FaultPlan;
+use crate::recovery::{Recovery, RecoveryCounters, RecoveryKind};
+use crate::sampling::CkptMemo;
 
 /// One independent experiment cell: a single verified simulation.
 #[derive(Debug, Clone)]
@@ -55,17 +63,18 @@ pub struct RunSpec {
 }
 
 impl RunSpec {
-    /// A cell with default options, under the process-wide default
-    /// sampling mode (see [`set_default_sampling`]) — applied here, before
-    /// the spec's description and hence any cache key is derived, so
-    /// sampled and exact cells can never collide.
+    /// A cell with default options, under the process-default sampling
+    /// spec — exact unless [`set_default_sampling`] changed it; that
+    /// default goes away with the benchmark change that ports the trace
+    /// binary to [`Context`]. Code with a context plans through
+    /// [`Plan`](crate::experiments::Plan), which applies its spec.
     pub fn new(workload: usize, config: &CoreConfig, policy: PolicyKind) -> RunSpec {
         RunSpec {
             workload,
             config: config.clone(),
             policy,
             opts: SimOptions {
-                sampling: default_sampling(),
+                sampling: compat(|c| c.sampling),
                 ..SimOptions::default()
             },
         }
@@ -80,182 +89,244 @@ impl RunSpec {
     }
 }
 
-/// Process-wide default cell cache. The CLI installs one here (unless
-/// `--no-cache`); library callers and tests are uncached unless they opt
-/// in per engine with [`Engine::with_cache`].
-static GLOBAL_CACHE: Mutex<Option<Arc<CellCache>>> = Mutex::new(None);
-
-/// Installs (or, with `None`, removes) the process-wide default cell
-/// cache picked up by every subsequently created [`Engine`].
-pub fn set_global_cell_cache(cache: Option<Arc<CellCache>>) {
-    *GLOBAL_CACHE.lock().expect("cell cache poisoned") = cache;
-}
-
-/// The process-wide default cell cache, if one is installed.
-pub fn global_cell_cache() -> Option<Arc<CellCache>> {
-    GLOBAL_CACHE.lock().expect("cell cache poisoned").clone()
-}
-
-/// The directory of the current `--run-id` run, if any. Sampled cells
-/// keep their partial-progress envelopes under its `samples/`, so a
-/// killed run continues mid-cell on resume; completed cells persist
-/// through the cell cache alone.
-static RUN_DIR: Mutex<Option<PathBuf>> = Mutex::new(None);
-
-/// Sets (or, with `None`, clears) the process-wide run directory.
-pub fn set_run_dir(dir: Option<PathBuf>) {
-    *RUN_DIR.lock().expect("run dir poisoned") = dir;
-}
-
-/// The process-wide run directory, if one is set.
-pub fn run_dir() -> Option<PathBuf> {
-    RUN_DIR.lock().expect("run dir poisoned").clone()
-}
-
-/// Process-wide persistent checkpoint store (see
-/// [`CheckpointStore`](crate::cache::CheckpointStore)). The CLI installs
-/// one alongside the cell cache (unless `--no-cache`); with it, sampled
-/// cells restore their fast-forward checkpoints from the shared store
-/// instead of re-emulating.
-static GLOBAL_CHECKPOINTS: Mutex<Option<Arc<crate::cache::CheckpointStore>>> = Mutex::new(None);
-
-/// Installs (or, with `None`, removes) the process-wide checkpoint store
-/// consulted by every subsequently executed sampled cell.
-pub fn set_global_checkpoint_store(store: Option<Arc<crate::cache::CheckpointStore>>) {
-    *GLOBAL_CHECKPOINTS
-        .lock()
-        .expect("checkpoint store poisoned") = store;
-}
-
-/// The process-wide checkpoint store, if one is installed.
-pub fn global_checkpoint_store() -> Option<Arc<crate::cache::CheckpointStore>> {
-    GLOBAL_CHECKPOINTS
-        .lock()
-        .expect("checkpoint store poisoned")
-        .clone()
-}
-
-/// Process-wide default for per-cell retries (how many times a panicking,
-/// timed-out or erroring cell is re-attempted before quarantine). The
-/// CLI's `--retries` flag sets this.
-static RETRIES: AtomicUsize = AtomicUsize::new(DEFAULT_RETRIES);
-
 /// Retries a failing cell gets by default: one — enough to absorb any
 /// transient fault while a deterministic bug only costs one extra
 /// attempt before it is quarantined.
 pub const DEFAULT_RETRIES: usize = 1;
 
-/// Sets the process-wide default retry count.
-pub fn set_default_retries(retries: usize) {
-    RETRIES.store(retries, Ordering::Relaxed);
+/// Everything one run of the engine reads besides its cells. Cloning is
+/// cheap: the stores, the profile sink, the fault plan, the recovery
+/// counters and the checkpoint memo sit behind `Arc`s, so every clone —
+/// each [`Engine`] holds one — reports into the same places.
+#[derive(Clone)]
+pub struct Context {
+    pub(crate) jobs: usize,
+    pub(crate) retries: usize,
+    pub(crate) cell_timeout: Option<Duration>,
+    pub(crate) sampling: SampleSpec,
+    pub(crate) cache: Option<Arc<CellCache>>,
+    pub(crate) checkpoints: Option<Arc<CheckpointStore>>,
+    pub(crate) run_dir: Option<PathBuf>,
+    pub(crate) profile: Option<Arc<Mutex<ProfileTotals>>>,
+    pub(crate) faults: Option<Arc<FaultPlan>>,
+    pub(crate) recovery: Arc<Recovery>,
+    pub(crate) memo: Arc<CkptMemo>,
 }
 
-/// The process-wide default retry count.
-pub fn default_retries() -> usize {
-    RETRIES.load(Ordering::Relaxed)
-}
-
-/// Process-wide default per-cell wall-clock watchdog in milliseconds
-/// (0 = no watchdog). The CLI's `--cell-timeout` flag sets this.
-static CELL_TIMEOUT_MS: AtomicU64 = AtomicU64::new(0);
-
-/// Sets the process-wide default cell watchdog (`None` disables it).
-pub fn set_default_cell_timeout(timeout: Option<Duration>) {
-    CELL_TIMEOUT_MS.store(
-        timeout.map_or(0, |t| t.as_millis().max(1) as u64),
-        Ordering::Relaxed,
-    );
-}
-
-/// The process-wide default cell watchdog, if one is set.
-pub fn default_cell_timeout() -> Option<Duration> {
-    match CELL_TIMEOUT_MS.load(Ordering::Relaxed) {
-        0 => None,
-        ms => Some(Duration::from_millis(ms)),
-    }
-}
-
-/// Process-wide override for the worker count (0 = unset). The CLI's
-/// `--jobs` flag sets this; `DMDC_JOBS` and the machine's parallelism are
-/// the fallbacks.
-static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Sets the process-wide default worker count (`0` clears the override).
-pub fn set_default_jobs(jobs: usize) {
-    JOBS_OVERRIDE.store(jobs, Ordering::Relaxed);
-}
-
-/// Resolves the worker count: explicit override (`set_default_jobs`), then
-/// the `DMDC_JOBS` environment variable, then available parallelism.
-pub fn default_jobs() -> usize {
-    let o = JOBS_OVERRIDE.load(Ordering::Relaxed);
-    if o > 0 {
-        return o;
-    }
-    if let Some(n) = std::env::var("DMDC_JOBS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        if n > 0 {
-            return n;
+impl Context {
+    /// An exact, uncached context: the default worker count (the
+    /// `DMDC_JOBS` environment variable, else the machine's available
+    /// parallelism), [`DEFAULT_RETRIES`], no watchdog, no stores, no run
+    /// directory, profiling off, no fault plan.
+    pub fn new() -> Context {
+        let jobs = std::env::var("DMDC_JOBS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1)
+            });
+        Context {
+            jobs,
+            retries: DEFAULT_RETRIES,
+            cell_timeout: None,
+            sampling: SampleSpec::EXACT,
+            cache: None,
+            checkpoints: None,
+            run_dir: None,
+            profile: None,
+            faults: None,
+            recovery: Arc::default(),
+            memo: Arc::default(),
         }
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+
+    /// Sets the worker count (`1` = fully serial).
+    pub fn with_jobs(mut self, jobs: usize) -> Context {
+        self.jobs = jobs.max(1);
+        self
+    }
+
+    /// Sets how many times a failing cell is retried before quarantine
+    /// (`0` = quarantine on the first failure).
+    pub fn with_retries(mut self, retries: usize) -> Context {
+        self.retries = retries;
+        self
+    }
+
+    /// Sets the per-cell wall-clock watchdog. With a timeout, each attempt
+    /// runs on a detached watchdog thread; an attempt that outlives the
+    /// timeout is abandoned and counted as a [`FailureKind::Timeout`].
+    pub fn with_cell_timeout(mut self, timeout: Option<Duration>) -> Context {
+        self.cell_timeout = timeout;
+        self
+    }
+
+    /// Sets the sampling spec experiment plans give every variant that
+    /// does not carry its own ([`SampleSpec::EXACT`] keeps them exact).
+    /// It lands in [`RunSpec::opts`] when the plan is built, before any
+    /// cache key is derived, so sampled and exact cells never collide.
+    pub fn with_sampling(mut self, spec: SampleSpec) -> Context {
+        self.sampling = spec;
+        self
+    }
+
+    /// Installs a fault plan. Stores take the plan when they are built, so
+    /// it must come before [`Context::with_store`] and
+    /// [`Context::with_cell_cache`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a store is already installed.
+    pub fn with_faults(mut self, plan: FaultPlan) -> Context {
+        assert!(
+            self.cache.is_none() && self.checkpoints.is_none(),
+            "install the fault plan before the stores that run it"
+        );
+        self.faults = Some(Arc::new(plan));
+        self
+    }
+
+    /// Installs the cell cache and the checkpoint store under `root`
+    /// (checkpoints in its `checkpoints/`), both counting quarantines in
+    /// this context's recovery counters and running its fault plan.
+    pub fn with_store(mut self, root: impl Into<PathBuf>) -> Context {
+        let root = root.into();
+        let store = CheckpointStore(CheckpointStore::new(&root).0.in_context(&self));
+        self.checkpoints = Some(Arc::new(store));
+        self.with_cell_cache(root)
+    }
+
+    /// Installs a cell cache at `dir` and no checkpoint store: the
+    /// daemon's state-dir cache, a run-private store under `--no-cache`,
+    /// a worker's shared store.
+    pub fn with_cell_cache(mut self, dir: impl Into<PathBuf>) -> Context {
+        self.cache = Some(Arc::new(CellCache(CellCache::new(dir).0.in_context(&self))));
+        self
+    }
+
+    /// Sets the `--run-id` run directory. Sampled cells keep their
+    /// partial-progress envelopes under its `samples/`, so a killed run
+    /// continues mid-cell on resume; completed cells persist through the
+    /// cell cache alone.
+    pub fn with_run_dir(mut self, dir: impl Into<PathBuf>) -> Context {
+        self.run_dir = Some(dir.into());
+        self
+    }
+
+    /// Turns profiling on: every verified run collects a [`SimProfile`]
+    /// and folds it into this context's [`ProfileTotals`].
+    pub fn with_profile(mut self) -> Context {
+        self.profile = Some(Arc::default());
+        self
+    }
+
+    /// The sampling spec plans apply by default.
+    pub fn sampling(&self) -> SampleSpec {
+        self.sampling
+    }
+
+    /// The cell cache, if one is installed.
+    pub fn cache(&self) -> Option<&Arc<CellCache>> {
+        self.cache.as_ref()
+    }
+
+    /// The checkpoint store, if one is installed.
+    pub fn checkpoints(&self) -> Option<&Arc<CheckpointStore>> {
+        self.checkpoints.as_ref()
+    }
+
+    /// Snapshot of the faults this context survived so far.
+    pub fn recovery(&self) -> RecoveryCounters {
+        self.recovery.counters()
+    }
+
+    /// Returns and resets the accumulated profile totals; `None` unless
+    /// profiling is on.
+    pub fn take_profile(&self) -> Option<ProfileTotals> {
+        let sink = self.profile.as_ref()?;
+        Some(std::mem::take(
+            &mut *sink.lock().expect("profile totals poisoned"),
+        ))
+    }
+
+    /// Folds one run's profile into the totals (a no-op with profiling
+    /// off).
+    pub(crate) fn record_profile(&self, profile: &SimProfile, stats: &SimStats) {
+        if let Some(sink) = &self.profile {
+            sink.lock()
+                .expect("profile totals poisoned")
+                .add(profile, stats);
+        }
+    }
+
+    /// Folds one sampled cell's breakdown into the totals (a no-op with
+    /// profiling off).
+    pub(crate) fn record_sampling(&self, sample: SamplingSample) {
+        let Some(sink) = &self.profile else { return };
+        let mut totals = sink.lock().expect("profile totals poisoned");
+        totals.ff_insts += sample.ff_insts;
+        totals.ff_nanos += sample.ff_nanos;
+        totals.compile_nanos += sample.compile_nanos;
+        totals.ff_blocks += sample.ff_blocks;
+        totals.ff_fallback_steps += sample.ff_fallback_steps;
+        totals.ckpt_shared += sample.ckpt_shared;
+        totals.window_nanos += sample.window_nanos;
+        totals.window_cycles += sample.window_cycles;
+        totals.window_committed += sample.window_committed;
+        totals.sampled_cells += 1;
+    }
 }
 
-/// Process-wide default sampling spec (the CLI sets this for `--scale
-/// full` unless `--exact`, or anywhere with `--sampled`). Experiment
-/// plans apply it to every variant that does not carry its own spec, so
-/// the spec lands in [`RunSpec::opts`] **before** any cache key is
-/// computed — sampled and exact cells can never collide.
-static DEFAULT_SAMPLING: Mutex<SampleSpec> = Mutex::new(SampleSpec::EXACT);
+impl Default for Context {
+    fn default() -> Context {
+        Context::new()
+    }
+}
 
-/// Sets the process-wide default sampling spec ([`SampleSpec::EXACT`]
-/// restores exact simulation).
+// ---------------------------------------------------------------------
+// Compat entry points. The benchmark's trace binary still drives the
+// engine through the API that predates `Context`; these act on one
+// process-default context that nothing in this workspace sets.
+
+/// The process-default context behind the compat entry points.
+static COMPAT: Mutex<Option<Context>> = Mutex::new(None);
+
+fn compat<T>(f: impl FnOnce(&mut Context) -> T) -> T {
+    let mut slot = COMPAT.lock().expect("process-default context poisoned");
+    f(slot.get_or_insert_with(Context::new))
+}
+
+/// Sets the process-default sampling spec [`RunSpec::new`] applies.
+/// Goes away with the benchmark change that ports the trace binary to
+/// [`Context`].
 pub fn set_default_sampling(spec: SampleSpec) {
-    *DEFAULT_SAMPLING.lock().expect("sampling spec poisoned") = spec;
+    compat(|c| c.sampling = spec);
 }
 
-/// The process-wide default sampling spec.
-pub fn default_sampling() -> SampleSpec {
-    *DEFAULT_SAMPLING.lock().expect("sampling spec poisoned")
+/// Installs (or, with `None`, removes) the process-default checkpoint
+/// store of engines built by [`Engine::with_jobs`]. Goes away with the
+/// benchmark change that ports the trace binary to [`Context`].
+pub fn set_global_checkpoint_store(store: Option<Arc<CheckpointStore>>) {
+    compat(|c| c.checkpoints = store);
 }
 
-/// Process-wide switch (the CLI's `--profile` flag): when set, every
-/// verified run collects a [`SimProfile`] and folds it into the global
-/// [`ProfileTotals`], so experiment commands can report a per-stage
-/// breakdown without threading an option through every regenerator.
-static PROFILE_ENABLED: AtomicBool = AtomicBool::new(false);
-
-static PROFILE_TOTALS: Mutex<ProfileTotals> = Mutex::new(ProfileTotals::new());
-
-/// Enables (or disables) run profiling process-wide.
+/// Turns profiling on or off for engines built by [`Engine::with_jobs`].
+/// Goes away with the benchmark change that ports the trace binary to
+/// [`Context`].
 pub fn set_profile(enabled: bool) {
-    PROFILE_ENABLED.store(enabled, Ordering::Relaxed);
+    compat(|c| c.profile = enabled.then(|| c.profile.clone().unwrap_or_default()));
 }
 
-/// Whether run profiling is enabled process-wide.
-pub fn profile_enabled() -> bool {
-    PROFILE_ENABLED.load(Ordering::Relaxed)
-}
-
-/// Folds one run's profile into the process-wide totals. Called by the
-/// execution funnel whenever a run carries a profile.
-pub(crate) fn record_profile(profile: &SimProfile, stats: &SimStats) {
-    PROFILE_TOTALS
-        .lock()
-        .expect("profile totals poisoned")
-        .add(profile, stats);
-}
-
-/// Returns and resets the accumulated profile totals.
+/// Returns and resets the process-default profile totals. Goes away with
+/// the benchmark change that ports the trace binary to [`Context`].
 pub fn take_profile_totals() -> ProfileTotals {
-    std::mem::take(&mut *PROFILE_TOTALS.lock().expect("profile totals poisoned"))
+    compat(|c| c.take_profile()).unwrap_or_default()
 }
 
-/// One sampled cell's mode breakdown, folded into the process-wide
+/// One sampled cell's mode breakdown, folded into its context's
 /// [`ProfileTotals`] by the sampling driver when profiling is on: how
 /// many instructions the functional fast-forward covered (and how — whole
 /// compiled blocks vs. single-step fallbacks), how many cycles and
@@ -274,24 +345,9 @@ pub(crate) struct SamplingSample {
     pub window_committed: u64,
 }
 
-/// Folds one sampled cell's breakdown into the process-wide totals.
-pub(crate) fn record_sampling(sample: SamplingSample) {
-    let mut totals = PROFILE_TOTALS.lock().expect("profile totals poisoned");
-    totals.ff_insts += sample.ff_insts;
-    totals.ff_nanos += sample.ff_nanos;
-    totals.compile_nanos += sample.compile_nanos;
-    totals.ff_blocks += sample.ff_blocks;
-    totals.ff_fallback_steps += sample.ff_fallback_steps;
-    totals.ckpt_shared += sample.ckpt_shared;
-    totals.window_nanos += sample.window_nanos;
-    totals.window_cycles += sample.window_cycles;
-    totals.window_committed += sample.window_committed;
-    totals.sampled_cells += 1;
-}
-
 /// Aggregated [`SimProfile`]s across every profiled run since the last
-/// [`take_profile_totals`] call.
-#[derive(Debug, Clone, Copy)]
+/// [`Context::take_profile`] call.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ProfileTotals {
     /// Host nanoseconds per stage, summed over runs.
     pub stage_nanos: [u64; PROFILE_STAGES],
@@ -336,28 +392,6 @@ pub struct ProfileTotals {
 }
 
 impl ProfileTotals {
-    const fn new() -> ProfileTotals {
-        ProfileTotals {
-            stage_nanos: [0; PROFILE_STAGES],
-            stage_active_cycles: [0; PROFILE_STAGES],
-            executed_cycles: 0,
-            simulated_cycles: 0,
-            skipped_cycles: 0,
-            fast_forwards: 0,
-            runs: 0,
-            ff_insts: 0,
-            ff_nanos: 0,
-            compile_nanos: 0,
-            ff_blocks: 0,
-            ff_fallback_steps: 0,
-            ckpt_shared: 0,
-            window_nanos: 0,
-            window_cycles: 0,
-            window_committed: 0,
-            sampled_cells: 0,
-        }
-    }
-
     fn add(&mut self, p: &SimProfile, stats: &SimStats) {
         for i in 0..PROFILE_STAGES {
             self.stage_nanos[i] += p.stage_nanos[i];
@@ -427,12 +461,6 @@ impl ProfileTotals {
     }
 }
 
-impl Default for ProfileTotals {
-    fn default() -> ProfileTotals {
-        ProfileTotals::new()
-    }
-}
-
 /// Memoized functional-emulator reference state, one slot per workload:
 /// the final architectural checksum plus the dynamic instruction count
 /// (the sampling driver's population size). A workload that does not halt
@@ -493,13 +521,13 @@ impl EmuOracle {
 ///
 /// ```
 /// use dmdc_core::experiments::PolicyKind;
-/// use dmdc_core::runner::{Engine, RunSpec};
+/// use dmdc_core::runner::{Context, Engine, RunSpec};
 /// use dmdc_ooo::CoreConfig;
 /// use dmdc_workloads::SyntheticKernel;
 ///
 /// let workloads = vec![SyntheticKernel::new(500).build()];
 /// let config = CoreConfig::config2();
-/// let engine = Engine::with_jobs(&workloads, 2);
+/// let engine = Engine::new(&Context::new().with_jobs(2), &workloads);
 /// let specs = vec![
 ///     RunSpec::new(0, &config, PolicyKind::Baseline),
 ///     RunSpec::new(0, &config, PolicyKind::DmdcGlobal),
@@ -512,64 +540,44 @@ impl EmuOracle {
 pub struct Engine<'w> {
     workloads: &'w [Workload],
     oracle: EmuOracle,
-    jobs: usize,
-    cache: Option<Arc<CellCache>>,
-    retries: usize,
-    cell_timeout: Option<Duration>,
+    ctx: Context,
     digests: Vec<OnceLock<u64>>,
 }
 
 impl<'w> Engine<'w> {
-    /// An engine using the resolved default worker count and the
-    /// process-wide cell cache and retry policy (if installed).
-    pub fn new(workloads: &'w [Workload]) -> Engine<'w> {
-        Engine::with_jobs(workloads, default_jobs())
-    }
-
-    /// An engine with an explicit worker count (`1` = fully serial) and
-    /// the process-wide cell cache and retry policy.
-    pub fn with_jobs(workloads: &'w [Workload], jobs: usize) -> Engine<'w> {
+    /// An engine over `workloads` under `ctx`: its worker count, cell
+    /// cache, retry policy, watchdog, fault plan and profile sink.
+    pub fn new(ctx: &Context, workloads: &'w [Workload]) -> Engine<'w> {
         Engine {
             workloads,
             oracle: EmuOracle::new(workloads.len()),
-            jobs: jobs.max(1),
-            cache: global_cell_cache(),
-            retries: default_retries(),
-            cell_timeout: default_cell_timeout(),
+            ctx: ctx.clone(),
             digests: (0..workloads.len()).map(|_| OnceLock::new()).collect(),
         }
     }
 
+    /// An engine with an explicit worker count under the process-default
+    /// context. Goes away with the benchmark change that ports the trace
+    /// binary to [`Context`].
+    pub fn with_jobs(workloads: &'w [Workload], jobs: usize) -> Engine<'w> {
+        Engine::new(&compat(|c| c.clone()).with_jobs(jobs), workloads)
+    }
+
     /// Replaces the engine's cell cache (`None` disables caching for this
-    /// engine regardless of the process-wide default).
+    /// engine whatever its context holds).
     pub fn with_cache(mut self, cache: Option<Arc<CellCache>>) -> Engine<'w> {
-        self.cache = cache;
-        self
-    }
-
-    /// Sets how many times a failing cell is retried before quarantine
-    /// (`0` = quarantine on the first failure).
-    pub fn with_retries(mut self, retries: usize) -> Engine<'w> {
-        self.retries = retries;
-        self
-    }
-
-    /// Sets the per-cell wall-clock watchdog. With a timeout, each attempt
-    /// runs on a detached watchdog thread; an attempt that outlives the
-    /// timeout is abandoned and counted as a [`FailureKind::Timeout`].
-    pub fn with_cell_timeout(mut self, timeout: Option<Duration>) -> Engine<'w> {
-        self.cell_timeout = timeout;
+        self.ctx.cache = cache;
         self
     }
 
     /// The configured worker count.
     pub fn jobs(&self) -> usize {
-        self.jobs
+        self.ctx.jobs
     }
 
     /// The cell cache's counters, if this engine carries a cache.
     pub fn cache_counters(&self) -> Option<CacheCounters> {
-        self.cache.as_ref().map(|c| c.counters())
+        self.ctx.cache.as_ref().map(|c| c.counters())
     }
 
     /// The content digest of `workloads[index]`, computed at most once.
@@ -618,24 +626,20 @@ impl<'w> Engine<'w> {
         let name = self.workloads[spec.workload].name;
         let desc = spec.desc();
         let digest = self.digest(spec.workload);
-        let cached = self
-            .cache
-            .as_ref()
-            .and_then(|cache| cache.load(cache.key(digest, &desc), name));
-        if let Some(cell) = cached {
+        let cache = self.ctx.cache.as_ref();
+        if let Some(cell) = cache.and_then(|c| c.load(c.key(digest, &desc), name)) {
             return Ok(cell);
         }
-        let attempts = self.retries + 1;
+        let attempts = self.ctx.retries + 1;
         let mut last = None;
         for attempt in 0..attempts {
             if attempt > 0 {
-                let err: &CellError = last.as_ref().expect("retry follows a failure");
-                recovery::record(RecoveryKind::CellRetry, name, err.to_string());
+                self.ctx.recovery.record(RecoveryKind::CellRetry);
                 std::thread::sleep(backoff(attempt));
             }
             match self.attempt(spec, attempt as u32) {
                 Ok(cell) => {
-                    if let Some(cache) = &self.cache {
+                    if let Some(cache) = cache {
                         cache.store(cache.key(digest, &desc), &cell);
                     }
                     return Ok(cell);
@@ -643,8 +647,8 @@ impl<'w> Engine<'w> {
                 Err(e) => last = Some(e),
             }
         }
-        let err = last.expect("at least one attempt ran");
-        recovery::record(RecoveryKind::CellQuarantined, name, err.to_string());
+        let err: CellError = last.expect("at least one attempt ran");
+        self.ctx.recovery.record(RecoveryKind::CellQuarantined);
         Err(CellFailure {
             workload: name.to_string(),
             spec: desc,
@@ -658,10 +662,10 @@ impl<'w> Engine<'w> {
     /// timeout configured the attempt runs on a detached watchdog thread
     /// so a hung simulation cannot wedge the suite.
     fn attempt(&self, spec: &RunSpec, attempt: u32) -> Result<CellResult, CellError> {
-        match self.cell_timeout {
+        match self.ctx.cell_timeout {
             None => {
                 let w = &self.workloads[spec.workload];
-                catch_attempt(w, spec, attempt, || {
+                catch_attempt(&self.ctx, w, spec, attempt, || {
                     self.oracle.reference(self.workloads, spec.workload)
                 })
             }
@@ -683,18 +687,19 @@ impl<'w> Engine<'w> {
         let oracle = self.oracle.reference(self.workloads, spec.workload);
         let workload = self.workloads[spec.workload].clone();
         let owned = spec.clone();
+        let ctx = self.ctx.clone();
         let (tx, rx) = mpsc::channel();
         let spawned = std::thread::Builder::new()
             .name("dmdc-cell-watchdog".to_string())
             .spawn(move || {
-                let result = catch_attempt(&workload, &owned, attempt, move || oracle);
+                let result = catch_attempt(&ctx, &workload, &owned, attempt, move || oracle);
                 let _ = tx.send(result);
             });
         if spawned.is_err() {
             // Thread exhaustion: degrade to an inline attempt rather than
             // failing the cell.
             let w = &self.workloads[spec.workload];
-            return catch_attempt(w, spec, attempt, || {
+            return catch_attempt(&self.ctx, w, spec, attempt, || {
                 self.oracle.reference(self.workloads, spec.workload)
             });
         }
@@ -741,7 +746,7 @@ impl<'w> Engine<'w> {
     /// results. Either way the returned vectors are index-aligned with
     /// `specs`, so the output of any aggregation over them is identical.
     pub fn run_all_recovered(&self, specs: &[RunSpec]) -> (Vec<Option<Run>>, Vec<CellFailure>) {
-        let workers = self.jobs.min(specs.len());
+        let workers = self.ctx.jobs.min(specs.len());
         let slots: Vec<Mutex<Option<Result<Run, CellFailure>>>> =
             specs.iter().map(|_| Mutex::new(None)).collect();
         if workers > 1 {
@@ -755,7 +760,9 @@ impl<'w> Engine<'w> {
                             if i >= specs.len() {
                                 break;
                             }
-                            crate::faults::on_worker_cell(i);
+                            if let Some(faults) = &self.ctx.faults {
+                                faults.on_worker_cell(i);
+                            }
                             let result = self.try_run_cell(&specs[i]);
                             *lock_slot(&slots[i]) = Some(result);
                         }));
@@ -766,11 +773,7 @@ impl<'w> Engine<'w> {
                 }
             });
             for _ in 0..lost.load(Ordering::Relaxed) {
-                recovery::record(
-                    RecoveryKind::WorkerLost,
-                    "worker",
-                    "worker thread died; its cells re-ran serially",
-                );
+                self.ctx.recovery.record(RecoveryKind::WorkerLost);
             }
         }
         // Serial path — and the degradation path: any cell not completed
@@ -819,14 +822,18 @@ fn backoff(attempt: usize) -> Duration {
 /// execution funnel, under `catch_unwind` so a panicking policy or
 /// simulator bug becomes a structured [`CellError`].
 fn catch_attempt(
+    ctx: &Context,
     workload: &Workload,
     spec: &RunSpec,
     attempt: u32,
     oracle: impl FnOnce() -> Result<(u64, u64), String>,
 ) -> Result<CellResult, CellError> {
     let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-        crate::faults::on_cell_attempt(workload.name, attempt);
+        if let Some(faults) = &ctx.faults {
+            faults.on_cell_attempt(workload.name, attempt);
+        }
         crate::experiments::execute_verified(
+            ctx,
             workload,
             &spec.config,
             &spec.policy,
@@ -850,16 +857,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .cloned()
         .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
         .unwrap_or_else(|| "non-string panic payload".to_string())
-}
-
-/// Convenience: runs `specs` over `workloads` with the default worker
-/// count and reports the oracle counters through the returned engine-less
-/// tuple `(runs, hits, misses)`.
-pub fn run_specs(workloads: &[Workload], specs: &[RunSpec]) -> (Vec<Run>, u64, u64) {
-    let engine = Engine::new(workloads);
-    let runs = engine.run_all(specs);
-    let (hits, misses) = engine.oracle_stats();
-    (runs, hits, misses)
 }
 
 #[cfg(test)]
@@ -887,8 +884,8 @@ mod tests {
                 ]
             })
             .collect();
-        let serial = Engine::with_jobs(&ws, 1).run_all(&specs);
-        let parallel = Engine::with_jobs(&ws, 4).run_all(&specs);
+        let serial = Engine::new(&Context::new().with_jobs(1), &ws).run_all(&specs);
+        let parallel = Engine::new(&Context::new().with_jobs(4), &ws).run_all(&specs);
         assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(s.workload, p.workload);
@@ -909,7 +906,7 @@ mod tests {
                 specs.push(RunSpec::new(i, &config, PolicyKind::DmdcGlobal));
             }
         }
-        let engine = Engine::with_jobs(&ws, 2);
+        let engine = Engine::new(&Context::new().with_jobs(2), &ws);
         engine.run_all(&specs);
         let (hits, misses) = engine.oracle_stats();
         assert_eq!(
@@ -935,13 +932,14 @@ mod tests {
             RunSpec::new(0, &config, PolicyKind::DmdcGlobal),
             RunSpec::new(1, &config, PolicyKind::Baseline),
         ];
+        let serial = Context::new().with_jobs(1);
         let cold_engine =
-            Engine::with_jobs(&ws, 1).with_cache(Some(Arc::new(CellCache::new(&dir))));
+            Engine::new(&serial, &ws).with_cache(Some(Arc::new(CellCache::new(&dir))));
         let cold = cold_engine.run_all(&specs);
         let c = cold_engine.cache_counters().unwrap();
         assert_eq!((c.hits, c.misses, c.stores), (0, 2, 2));
         let warm_engine =
-            Engine::with_jobs(&ws, 1).with_cache(Some(Arc::new(CellCache::new(&dir))));
+            Engine::new(&serial, &ws).with_cache(Some(Arc::new(CellCache::new(&dir))));
         let warm = warm_engine.run_all(&specs);
         let c = warm_engine.cache_counters().unwrap();
         assert_eq!((c.hits, c.misses, c.stores), (2, 0, 0));
@@ -952,10 +950,10 @@ mod tests {
     }
 
     #[test]
-    fn jobs_resolution_prefers_override() {
-        set_default_jobs(3);
-        assert_eq!(default_jobs(), 3);
-        set_default_jobs(0);
-        assert!(default_jobs() >= 1);
+    fn jobs_resolution_prefers_the_explicit_count() {
+        let jobs = |ctx: Context| Engine::new(&ctx, &[]).jobs();
+        assert_eq!(jobs(Context::new().with_jobs(3)), 3);
+        assert_eq!(jobs(Context::new().with_jobs(0)), 1, "at least one worker");
+        assert!(jobs(Context::new()) >= 1);
     }
 }

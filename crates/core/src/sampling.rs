@@ -20,6 +20,10 @@
 //!    means) for the headline rates, carried in
 //!    [`SamplingStats`](dmdc_ooo::SamplingStats).
 //!
+//! A sampled cell runs under its [`Context`]: the context's checkpoint
+//! store, run directory, in-process checkpoint memo, profile sink and
+//! recovery counters are the only state it touches besides the cell.
+//!
 //! Sampled runs are **crash-resumable**: under `--run-id`, after each
 //! checkpoint capture the in-progress state (completed window deltas +
 //! the checkpoint itself) is stored on the stores' sealed-file core,
@@ -46,7 +50,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use dmdc_isa::{BlockCode, Emulator, Inst, Program, Retired, SilentObserver, SparseMemory};
@@ -55,11 +59,13 @@ use dmdc_ooo::{
     SimOptions, SimStats, Simulator,
 };
 use dmdc_types::Addr;
-use dmdc_workloads::Workload;
+use dmdc_workloads::{Scale, Workload};
 
 use crate::cache::{default_fingerprint, workload_digest, Fnv64, SealedDir};
 use crate::cell::{CellError, CellResult, FailureKind};
 use crate::experiments::PolicyKind;
+use crate::recovery::RecoveryKind;
+use crate::runner::{Context, SamplingSample};
 
 /// Magic + version line of the persisted partial-progress envelope.
 const SAMPLE_MAGIC: &str = "dmdc-sample v1";
@@ -76,6 +82,19 @@ const PAGE_BYTES: u64 = 4096;
 /// comes from. Must stay a compile-time constant: it is part of the
 /// deterministic warming rule that fresh and resumed runs share.
 const WARM_HORIZON: u64 = 65_536;
+
+/// The sampling rule every front end shares: paper scale
+/// ([`Scale::Full`], intractable exact) samples unless the caller forces
+/// exact, and every other scale stays exact unless the caller asks for
+/// sampling. `forced` is `Some(true)` for `--sampled`, `Some(false)` for
+/// `--exact`.
+pub fn spec_for(scale: Scale, forced: Option<bool>) -> SampleSpec {
+    if forced.unwrap_or(scale == Scale::Full) {
+        SampleSpec::standard()
+    } else {
+        SampleSpec::EXACT
+    }
+}
 
 /// One resumable snapshot of mid-program state: the functional
 /// architectural state plus the functionally warmed microarchitectural
@@ -327,25 +346,30 @@ fn parse_array(body: &str) -> Option<[u64; 32]> {
 // ---------------------------------------------------------------------
 // In-process checkpoint memo: the RAM tier above the persistent
 // `CheckpointStore`. Checkpoints are policy-independent (see the key
-// derivation in `execute_sampled`), so within one process the first cell
+// derivation in `execute_sampled`), so within one context the first cell
 // to fast-forward a (workload, config, sampling) stream publishes its
 // checkpoints here and every other policy's cells restore instead of
 // re-emulating — even under `--no-cache`, which only disables the *disk*
-// tiers. Purely an accelerator: entries are exact `Checkpoint` values, a
-// miss (or an evicted entry) just re-runs the fast-forward, and the memo
-// dies with the process, so crash resume never depends on it.
+// tiers. Each front end builds one context per process, so there is one
+// memo per process. Purely an accelerator: entries are exact
+// `Checkpoint` values, a miss (or an evicted entry) just re-runs the
+// fast-forward, and the memo dies with the process, so crash resume never
+// depends on it.
 
 /// FIFO-evicted memo cap. Full-suite runs need well under this; the cap
 /// only guards pathological long-lived processes.
 const MEMO_CAP_BYTES: usize = 256 << 20;
 
-struct CkptMemo {
+/// The in-process checkpoint memo of one [`Context`].
+#[derive(Default)]
+pub(crate) struct CkptMemo(Mutex<MemoEntries>);
+
+#[derive(Default)]
+struct MemoEntries {
     map: HashMap<u64, Arc<Checkpoint>>,
     order: VecDeque<u64>,
     bytes: usize,
 }
-
-static CKPT_MEMO: Mutex<Option<CkptMemo>> = Mutex::new(None);
 
 /// The memo key: the persistent store's key derivation minus the build
 /// fingerprint (meaningless within a single process).
@@ -357,30 +381,30 @@ fn memo_key(workload_digest: u64, sample_desc: &str, window: u32) -> u64 {
     h.finish()
 }
 
-fn memo_load(key: u64) -> Option<Arc<Checkpoint>> {
-    let guard = CKPT_MEMO.lock().expect("checkpoint memo poisoned");
-    guard.as_ref().and_then(|m| m.map.get(&key).cloned())
-}
-
-fn memo_publish(key: u64, ck: Arc<Checkpoint>) {
-    let mut guard = CKPT_MEMO.lock().expect("checkpoint memo poisoned");
-    let memo = guard.get_or_insert_with(|| CkptMemo {
-        map: HashMap::new(),
-        order: VecDeque::new(),
-        bytes: 0,
-    });
-    if memo.map.contains_key(&key) {
-        return;
+impl CkptMemo {
+    fn entries(&self) -> MutexGuard<'_, MemoEntries> {
+        self.0.lock().expect("checkpoint memo poisoned")
     }
-    memo.bytes += ck.approx_bytes();
-    memo.map.insert(key, ck);
-    memo.order.push_back(key);
-    while memo.bytes > MEMO_CAP_BYTES {
-        let Some(old) = memo.order.pop_front() else {
-            break;
-        };
-        if let Some(ck) = memo.map.remove(&old) {
-            memo.bytes = memo.bytes.saturating_sub(ck.approx_bytes());
+
+    fn load(&self, key: u64) -> Option<Arc<Checkpoint>> {
+        self.entries().map.get(&key).cloned()
+    }
+
+    fn publish(&self, key: u64, ck: Arc<Checkpoint>) {
+        let mut memo = self.entries();
+        if memo.map.contains_key(&key) {
+            return;
+        }
+        memo.bytes += ck.approx_bytes();
+        memo.map.insert(key, ck);
+        memo.order.push_back(key);
+        while memo.bytes > MEMO_CAP_BYTES {
+            let Some(old) = memo.order.pop_front() else {
+                break;
+            };
+            if let Some(ck) = memo.map.remove(&old) {
+                memo.bytes = memo.bytes.saturating_sub(ck.approx_bytes());
+            }
         }
     }
 }
@@ -513,6 +537,7 @@ impl Layout {
 /// population is too small fall back to the exact path (still keyed as
 /// sampled cells, so the fallback is itself deterministic and cacheable).
 pub(crate) fn execute_sampled(
+    ctx: &Context,
     workload: &Workload,
     config: &CoreConfig,
     policy_kind: &PolicyKind,
@@ -522,7 +547,7 @@ pub(crate) fn execute_sampled(
     let (expected, population) =
         oracle().map_err(|e| CellError::new(FailureKind::OracleMustHalt, e))?;
     let Some(layout) = Layout::plan(&opts.sampling, population) else {
-        return crate::experiments::execute_exact(workload, config, policy_kind, opts, || {
+        return crate::experiments::execute_exact(ctx, workload, config, policy_kind, opts, || {
             Ok((expected, population))
         });
     };
@@ -531,9 +556,10 @@ pub(crate) fn execute_sampled(
 
     // Partial-progress envelope (crash resume): a sealed entry under the
     // run directory, keyed exactly like the cell itself.
-    let envelope = crate::runner::run_dir().map(|run| {
+    let envelope = ctx.run_dir.as_ref().map(|run| {
         let desc = format!("{config:?}|{policy_kind:?}|{opts:?}");
-        partial_envelope(&run, default_fingerprint(), digest, &desc)
+        let (dir, key) = partial_envelope(run, default_fingerprint(), digest, &desc);
+        (dir.in_context(ctx), key)
     });
 
     // Shared checkpoint key: checkpoints are a pure function of the
@@ -547,7 +573,7 @@ pub(crate) fn execute_sampled(
         "{config:?}|{:?}|pop {population}|horizon {WARM_HORIZON}",
         opts.sampling
     );
-    let store = crate::runner::global_checkpoint_store();
+    let store = ctx.checkpoints.as_ref();
 
     // Pre-decode the program once per cell; every fast-forward stretch
     // below executes through the compiled blocks.
@@ -566,11 +592,7 @@ pub(crate) fn execute_sampled(
                 warm = w;
                 deltas = partial.deltas;
                 pending = Some(partial.checkpoint);
-                crate::recovery::record(
-                    crate::recovery::RecoveryKind::CellResumed,
-                    workload.name,
-                    format!("sampled cell resumed at window {}", deltas.len()),
-                );
+                ctx.recovery.record(RecoveryKind::CellResumed);
             }
         }
     }
@@ -591,8 +613,10 @@ pub(crate) fn execute_sampled(
                 // workload under a different policy — already produced
                 // this window's checkpoint.
                 let mkey = memo_key(digest, &sample_desc, i as u32);
-                let memoed =
-                    memo_load(mkey).and_then(|ck| Warmer::restore(&ck, config).map(|w| (ck, w)));
+                let memoed = ctx
+                    .memo
+                    .load(mkey)
+                    .and_then(|ck| Warmer::restore(&ck, config).map(|w| (ck, w)));
                 let ck = match memoed {
                     Some((ck, w)) => {
                         emu = ck.restore_emulator(&workload.program);
@@ -607,7 +631,7 @@ pub(crate) fn execute_sampled(
                         // checkpoint (exactly as crash resume does), so a
                         // later miss window fast-forwards from consistent
                         // state.
-                        let stored = store.as_ref().and_then(|s| {
+                        let stored = store.and_then(|s| {
                             let key = s.key(digest, &sample_desc, i as u32);
                             s.load(key, workload.name, i as u32)
                                 .and_then(|ck| Warmer::restore(&ck, config).map(|w| (ck, w)))
@@ -663,7 +687,7 @@ pub(crate) fn execute_sampled(
                                 })?;
                                 ff_nanos += t0.elapsed().as_nanos() as u64;
                                 let ck = Arc::new(Checkpoint::capture(i as u32, &emu, &warm));
-                                if let Some(s) = &store {
+                                if let Some(s) = store {
                                     s.store(
                                         s.key(digest, &sample_desc, i as u32),
                                         workload.name,
@@ -673,7 +697,7 @@ pub(crate) fn execute_sampled(
                                 ck
                             }
                         };
-                        memo_publish(mkey, Arc::clone(&ck));
+                        ctx.memo.publish(mkey, Arc::clone(&ck));
                         ck
                     }
                 };
@@ -687,18 +711,26 @@ pub(crate) fn execute_sampled(
             }
         };
         let t0 = Instant::now();
-        let delta = run_window(workload, config, policy_kind, opts, &layout, &checkpoint)?;
+        let delta = run_window(
+            ctx,
+            workload,
+            config,
+            policy_kind,
+            opts,
+            &layout,
+            &checkpoint,
+        )?;
         window_nanos += t0.elapsed().as_nanos() as u64;
         deltas.push(delta);
     }
     if let Some((dir, key)) = &envelope {
         dir.remove(*key);
     }
-    if crate::runner::profile_enabled() {
+    if ctx.profile.is_some() {
         // Export order puts cycles first and committed second (see
         // `SimStats::export_values`), so the per-window deltas carry the
         // per-mode cycle counters directly.
-        crate::runner::record_sampling(crate::runner::SamplingSample {
+        ctx.record_sampling(SamplingSample {
             ff_insts,
             ff_nanos,
             compile_nanos,
@@ -725,6 +757,7 @@ pub(crate) fn execute_sampled(
 /// window's final architectural state is verified against a functional
 /// replay of the same instruction span.
 fn run_window(
+    ctx: &Context,
     workload: &Workload,
     config: &CoreConfig,
     policy_kind: &PolicyKind,
@@ -809,7 +842,7 @@ fn run_window(
         ));
     }
     if let Some(profile) = &b.profile {
-        crate::runner::record_profile(profile, &b.stats);
+        ctx.record_profile(profile, &b.stats);
     }
     Ok(b.stats
         .export_values()

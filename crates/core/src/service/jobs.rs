@@ -10,8 +10,9 @@
 //!   sealed `jobs/<id>.job` envelope, and enqueue;
 //! * **dispatch** — a worker pops jobs in priority order (FIFO within a
 //!   priority) and executes them through the ordinary
-//!   [`Engine`](crate::runner::Engine), which consults the process-wide
-//!   cell cache, so a cell an earlier job simulated is read, not re-run;
+//!   [`Engine`](crate::runner::Engine) under the daemon's
+//!   [`Context`], whose cell cache means a cell an earlier job simulated
+//!   is read, not re-run;
 //! * **complete** — the rendered report (the same JSON the CLI's
 //!   `--format json` emits) is persisted as a sealed
 //!   `results/<id>.result` envelope before the job is marked done, so a
@@ -37,14 +38,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use dmdc_ooo::{CoreConfig, SampleSpec, SimOptions};
-use dmdc_workloads::{full_suite, Scale, SyntheticKernel, Workload};
+use dmdc_ooo::{SampleSpec, SimOptions};
+use dmdc_workloads::Scale;
 
 use crate::cache::{self, Fnv64};
-use crate::experiments::{self, PolicyKind};
+use crate::experiments::{self, find_workload, parse_config, parse_scale, scale_token, PolicyKind};
 use crate::queue::JobQueue;
-use crate::report::{fmt, Report, Table};
-use crate::runner::{Engine, RunSpec};
+use crate::report::{Report, Table};
+use crate::runner::{Context, Engine, RunSpec};
+use crate::sampling;
 use crate::service::json::{self, Json};
 
 /// What one job simulates.
@@ -72,27 +74,6 @@ pub enum JobSpec {
         /// Workload scale.
         scale: Scale,
     },
-}
-
-/// Stable scale token (`smoke`/`default`/`large`/`full`).
-pub fn scale_token(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Smoke => "smoke",
-        Scale::Default => "default",
-        Scale::Large => "large",
-        Scale::Full => "full",
-    }
-}
-
-/// Parses a [`scale_token`].
-pub fn parse_scale(token: &str) -> Result<Scale, String> {
-    match token {
-        "smoke" => Ok(Scale::Smoke),
-        "default" => Ok(Scale::Default),
-        "large" => Ok(Scale::Large),
-        "full" => Ok(Scale::Full),
-        other => Err(format!("unknown scale `{other}`")),
-    }
 }
 
 impl JobSpec {
@@ -174,7 +155,9 @@ impl JobSpec {
                     .and_then(Json::as_str)
                     .ok_or("cell jobs need a `workload`")?
                     .to_string();
-                if !workload_exists(&workload) {
+                // The name set is scale-independent, and smoke-scale
+                // construction is cheap.
+                if find_workload(&workload, Scale::Smoke).is_err() {
                     return Err(format!("unknown workload `{workload}`"));
                 }
                 let policy = PolicyKind::parse_token(
@@ -225,40 +208,11 @@ impl JobSpec {
     }
 }
 
-/// Whether `name` resolves to a runnable workload. Checked against the
-/// smoke-scale suite: the name set is scale-independent, and smoke-scale
-/// construction is cheap.
-fn workload_exists(name: &str) -> bool {
-    name == "synthetic" || full_suite(Scale::Smoke).iter().any(|w| w.name == name)
-}
-
-/// Materializes the workload for a cell job (mirrors the CLI's
-/// resolution, including the parameterized `synthetic` kernel).
-fn build_workload(name: &str, scale: Scale) -> Result<Workload, String> {
-    if name == "synthetic" {
-        return Ok(SyntheticKernel::new(20_000 * scale.factor())
-            .branch_noise(true)
-            .build());
-    }
-    full_suite(scale)
-        .into_iter()
-        .find(|w| w.name == name)
-        .ok_or_else(|| format!("unknown workload `{name}`"))
-}
-
-fn build_config(config: u8) -> CoreConfig {
-    match config {
-        1 => CoreConfig::config1(),
-        3 => CoreConfig::config3(),
-        _ => CoreConfig::config2(),
-    }
-}
-
-/// Executes one job to its result payload — the exact JSON document the
-/// CLI's `--format json` emitters produce for the same work. `Err` is a
-/// human-readable failure (quarantined cells, unknown ids) that becomes
-/// a `failed` job, never a dead daemon.
-pub fn execute(spec: &JobSpec) -> Result<String, String> {
+/// Executes one job under the daemon's `ctx` to its result payload —
+/// the exact JSON document the CLI's `--format json` emitters produce for
+/// the same work. `Err` is a human-readable failure (quarantined cells,
+/// unknown ids) that becomes a `failed` job, never a dead daemon.
+pub fn execute(ctx: &Context, spec: &JobSpec) -> Result<String, String> {
     match spec {
         JobSpec::Cell {
             workload,
@@ -268,78 +222,37 @@ pub fn execute(spec: &JobSpec) -> Result<String, String> {
             inval_rate,
             sampled,
         } => {
-            let w = build_workload(workload, *scale)?;
-            let core = build_config(*config);
-            // The sampling mode is set on the spec itself, never through
-            // the process-wide default: the daemon is long-lived and
-            // concurrent, and `RunSpec::opts` is what cache keys hash.
-            let opts = SimOptions {
-                inval_per_kcycle: *inval_rate,
-                sampling: if *sampled {
-                    SampleSpec::standard()
-                } else {
-                    SampleSpec::EXACT
-                },
-                ..SimOptions::default()
-            };
-            let workloads = [w];
-            let engine = Engine::new(&workloads);
+            let workloads = [find_workload(workload, *scale)?];
+            let core = parse_config(&config.to_string())?;
+            // The sampling mode is set on the spec itself: `RunSpec::opts`
+            // is what cache keys hash.
             let spec = RunSpec {
                 workload: 0,
                 config: core.clone(),
                 policy: policy.clone(),
-                opts,
+                opts: SimOptions {
+                    inval_per_kcycle: *inval_rate,
+                    sampling: if *sampled {
+                        SampleSpec::standard()
+                    } else {
+                        SampleSpec::EXACT
+                    },
+                    ..SimOptions::default()
+                },
             };
-            let cell = engine
+            let cell = Engine::new(ctx, &workloads)
                 .try_run_cell(&spec)
                 .map_err(|f| format!("[{}] {}", f.kind, f.detail))?;
-            let mut t = Table::new(format!(
+            let title = format!(
                 "cell {} under {policy:?} on {}",
                 workloads[0].name, core.name
-            ));
-            t.headers([
-                "workload",
-                "group",
-                "IPC",
-                "replays/1M",
-                "safe stores",
-                "safe loads",
-            ]);
-            let s = &cell.stats;
-            let row = if s.is_sampled() {
-                let sp = &s.sampling;
-                [
-                    fmt::f2_ci(s.ipc(), sp.ipc_ci()),
-                    fmt::f1_ci(
-                        s.per_million(s.policy.replays.total()),
-                        sp.replays_per_m_ci(),
-                    ),
-                    fmt::pct_ci(s.policy.store_filter_rate(), sp.filter_rate_ci()),
-                    fmt::pct_ci(s.policy.safe_load_rate(), sp.safe_load_rate_ci()),
-                ]
-            } else {
-                [
-                    fmt::f2(s.ipc()),
-                    fmt::f1(s.per_million(s.policy.replays.total())),
-                    fmt::pct(s.policy.store_filter_rate()),
-                    fmt::pct(s.policy.safe_load_rate()),
-                ]
-            };
-            let [ipc, replays, stores, loads] = row;
-            t.row([
-                cell.workload.clone(),
-                cell.group.to_string(),
-                ipc,
-                replays,
-                stores,
-                loads,
-            ]);
-            Ok(Report::single("cell", t).json())
+            );
+            Ok(Report::single("cell", Table::cells(title, [&cell])).json())
         }
         JobSpec::Experiment { id, scale } => {
             let exp = experiments::find_experiment(id)
                 .ok_or_else(|| format!("unknown experiment `{id}`"))?;
-            let report = experiments::run_experiment(exp, *scale);
+            let report = experiments::run_experiment(&experiment_context(ctx, *scale), exp, *scale);
             if report.has_failures() {
                 return Err(format!(
                     "{} cell(s) quarantined; report: {}",
@@ -350,6 +263,12 @@ pub fn execute(spec: &JobSpec) -> Result<String, String> {
             Ok(report.json())
         }
     }
+}
+
+/// The context an experiment job runs under: the daemon's, sampling
+/// exactly when `dmdc experiment` at the same scale would.
+fn experiment_context(ctx: &Context, scale: Scale) -> Context {
+    ctx.clone().with_sampling(sampling::spec_for(scale, None))
 }
 
 /// Lifecycle state of one job.
@@ -1062,7 +981,7 @@ mod tests {
     #[test]
     fn cell_job_executes_to_report_json() {
         let s = spec("histo");
-        let payload = execute(&s).unwrap();
+        let payload = execute(&Context::new(), &s).unwrap();
         let doc = json::parse(&payload).unwrap();
         assert_eq!(doc.get("experiment").unwrap().as_str(), Some("cell"));
         let tables = doc.get("tables").unwrap().as_array().unwrap();
@@ -1070,5 +989,23 @@ mod tests {
         let rows = tables[0].get("rows").unwrap().as_array().unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].as_array().unwrap()[0].as_str(), Some("histo"));
+    }
+
+    /// `dmdc submit --experiment fig2 --scale full` samples in the daemon
+    /// exactly as `dmdc experiment fig2 --scale full` does on the CLI.
+    #[test]
+    fn experiment_jobs_sample_like_the_cli() {
+        let exp = experiments::find_experiment("fig2").unwrap();
+        for (scale, want) in [
+            (Scale::Full, SampleSpec::standard()),
+            (Scale::Smoke, SampleSpec::EXACT),
+        ] {
+            let ctx = experiment_context(&Context::new(), scale);
+            let plan = experiments::plan_experiment(&ctx, exp, scale);
+            assert!(
+                plan.specs().iter().all(|s| s.opts.sampling == want),
+                "{scale:?} experiment job planned the wrong sampling mode"
+            );
+        }
     }
 }

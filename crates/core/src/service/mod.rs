@@ -15,7 +15,8 @@
 //!   (shared with the `--distrib` coordinator), and the client;
 //! * [`jobs`] — the job model: spec parsing, quota accounting,
 //!   job-level coalescing, sealed-envelope persistence, recovery, and
-//!   execution through the ordinary [`Engine`](crate::runner::Engine);
+//!   execution through the ordinary [`Engine`](crate::runner::Engine)
+//!   under the daemon's [`Context`];
 //! * this module — the daemon itself: routing, the result long-poll,
 //!   the dispatcher thread, graceful drain on SIGTERM/`POST /shutdown`.
 //!
@@ -54,36 +55,29 @@ pub mod json;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::Duration;
 
-use crate::cache::CellCache;
-use crate::runner;
+use crate::runner::Context;
 use crate::service::http::error_body;
 use crate::service::jobs::{JobManager, JobSpec, JobState, SubmitOutcome};
 
 /// Process-wide stop flag: set by SIGTERM/SIGINT or `POST /shutdown`,
-/// read by the accept loop after every accept. A static because the
-/// public [`route`] carries no daemon handle.
+/// read by the accept loop after every accept. A static because a signal
+/// reaches the process, not a daemon handle.
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
-
-/// Where [`trigger_shutdown`] connects to wake the blocking accept: the
-/// bound address under [`http::wake_addr`]'s rule, set once bound.
-static WAKE: Mutex<Option<SocketAddr>> = Mutex::new(None);
 
 /// The longest a `?wait=` result poll parks, inside the HTTP client's
 /// 120 s read timeout.
 const MAX_RESULT_WAIT: Duration = Duration::from_secs(60);
 
 /// Both shutdown triggers end here: raise the stop flag, then connect
-/// once to the daemon's own listener so the blocked `accept` returns and
-/// reads it.
-fn trigger_shutdown() {
+/// once to the daemon's own listener at `wake` (the bound address under
+/// [`http::wake_addr`]'s rule) so the blocked `accept` returns and reads
+/// it.
+fn trigger_shutdown(wake: SocketAddr) {
     SHUTDOWN.store(true, Ordering::SeqCst);
-    let wake = *WAKE.lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(addr) = wake {
-        let _ = TcpStream::connect(addr);
-    }
+    let _ = TcpStream::connect(wake);
 }
 
 /// Configuration for one [`serve`] call.
@@ -114,13 +108,13 @@ impl Default for ServeOptions {
 /// SIGTERM and SIGINT, turned into an ordinary thread: both signals are
 /// blocked in the calling thread — and so in every thread it spawns
 /// after this — and one thread takes them with `sigwait`, then runs
-/// [`trigger_shutdown`] outside signal context. Call before spawning any
-/// thread; a signal that arrives early stays pending until the waiter
-/// takes it. (`std::process::Command` resets the mask in children.) The
-/// waiter is detached: it lives until a signal comes or the process
-/// exits.
+/// [`trigger_shutdown`] on `wake` outside signal context. Call before
+/// spawning any thread; a signal that arrives early stays pending until
+/// the waiter takes it. (`std::process::Command` resets the mask in
+/// children.) The waiter is detached: it lives until a signal comes or
+/// the process exits.
 #[cfg(unix)]
-fn handle_shutdown_signals() -> Result<(), String> {
+fn handle_shutdown_signals(wake: SocketAddr) -> Result<(), String> {
     /// Large enough for every libc's `sigset_t` (glibc's is 128 bytes).
     #[repr(C)]
     struct SigSet([u64; 16]);
@@ -152,37 +146,33 @@ fn handle_shutdown_signals() -> Result<(), String> {
         // SAFETY: `set` was initialised above and is owned by this
         // closure; `sig` is a writable `int`.
         if unsafe { sigwait(&set, &mut sig) } == 0 {
-            trigger_shutdown();
+            trigger_shutdown(wake);
         }
     });
     Ok(())
 }
 
 #[cfg(not(unix))]
-fn handle_shutdown_signals() -> Result<(), String> {
+fn handle_shutdown_signals(_wake: SocketAddr) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs the daemon until a graceful shutdown completes. Installs the
-/// process-wide cell cache (under `state_dir/cache`, unless one is
-/// already installed — `--cache` wins), recovers any unfinished jobs
-/// from a previous life, prints the bound address, and serves until
-/// SIGTERM/SIGINT or `POST /shutdown` drains the queue.
-pub fn serve(opts: &ServeOptions) -> Result<(), String> {
+/// Runs the daemon until a graceful shutdown completes. Every job runs
+/// under `ctx` (the CLI gives it the cell cache at `state_dir/cache`);
+/// recovers any unfinished jobs from a previous life, prints the bound
+/// address, and serves until SIGTERM/SIGINT or `POST /shutdown` drains
+/// the queue.
+pub fn serve(ctx: &Context, opts: &ServeOptions) -> Result<(), String> {
     SHUTDOWN.store(false, Ordering::SeqCst);
-    handle_shutdown_signals()?;
-
-    if runner::global_cell_cache().is_none() {
-        runner::set_global_cell_cache(Some(Arc::new(CellCache::new(opts.state_dir.join("cache")))));
-    }
+    let listener = TcpListener::bind(&opts.addr).map_err(|e| format!("{}: {e}", opts.addr))?;
+    let addr = listener.local_addr().map_err(|e| e.to_string())?;
+    let wake = http::wake_addr(addr);
+    handle_shutdown_signals(wake)?;
 
     let manager = Arc::new(JobManager::new(&opts.state_dir, opts.quota)?);
     manager.set_paused(opts.paused);
     let recovered = manager.recover();
 
-    let listener = TcpListener::bind(&opts.addr).map_err(|e| format!("{}: {e}", opts.addr))?;
-    let addr = listener.local_addr().map_err(|e| e.to_string())?;
-    *WAKE.lock().unwrap_or_else(PoisonError::into_inner) = Some(http::wake_addr(addr));
     println!("dmdc serve: listening on {addr}");
     println!(
         "dmdc serve: state dir {} ({recovered} job(s) recovered)",
@@ -196,29 +186,38 @@ pub fn serve(opts: &ServeOptions) -> Result<(), String> {
     // which is what makes killed-and-restarted runs byte-identical.
     let dispatcher = {
         let manager = Arc::clone(&manager);
+        let ctx = ctx.clone();
         std::thread::spawn(move || {
             while let Some((id, spec)) = manager.next_job() {
-                let outcome =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| jobs::execute(&spec)))
-                        .unwrap_or_else(|p| {
-                            let msg = p
-                                .downcast_ref::<&str>()
-                                .map(|s| s.to_string())
-                                .or_else(|| p.downcast_ref::<String>().cloned())
-                                .unwrap_or_else(|| "job panicked".to_string());
-                            Err(format!("panic: {msg}"))
-                        });
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    jobs::execute(&ctx, &spec)
+                }))
+                .unwrap_or_else(|p| {
+                    let msg = p
+                        .downcast_ref::<&str>()
+                        .map(|s| s.to_string())
+                        .or_else(|| p.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "job panicked".to_string());
+                    Err(format!("panic: {msg}"))
+                });
                 manager.complete(&id, outcome);
             }
         })
     };
 
     let serving = Arc::clone(&manager);
+    let ctx = ctx.clone();
     let (handlers, accepted) = http::accept_loop(
         &listener,
         || SHUTDOWN.load(Ordering::SeqCst),
         Duration::from_secs(30),
-        move |request| route(request, &serving),
+        move |request| {
+            let reply = route(request, &serving, &ctx);
+            if SHUTDOWN.load(Ordering::SeqCst) {
+                trigger_shutdown(wake);
+            }
+            reply
+        },
     );
 
     // Graceful drain: stop accepting, finish every queued job, persist
@@ -238,16 +237,17 @@ pub fn serve(opts: &ServeOptions) -> Result<(), String> {
     Ok(())
 }
 
-/// Routes one request to its `(status, body)`. Public so tests can pin
+/// Routes one request to its `(status, body)`; `ctx` is the daemon's run
+/// context (its cell cache feeds `GET /metrics`). Public so tests can pin
 /// the wire contract without sockets.
-pub fn route(request: &http::Request, manager: &JobManager) -> (u16, String) {
+pub fn route(request: &http::Request, manager: &JobManager, ctx: &Context) -> (u16, String) {
     let method = request.method.as_str();
     let path = request.path.as_str();
     match (method, path) {
         ("GET", "/health") => (200, "{\"ok\": true}\n".to_string()),
         ("POST", "/jobs") => submit(request, manager),
         ("GET", "/jobs") => list_jobs(manager),
-        ("GET", "/metrics") => (200, metrics_json(manager)),
+        ("GET", "/metrics") => (200, metrics_json(manager, ctx)),
         ("POST", "/queue/pause") => {
             manager.set_paused(true);
             (200, "{\"paused\": true}\n".to_string())
@@ -257,7 +257,9 @@ pub fn route(request: &http::Request, manager: &JobManager) -> (u16, String) {
             (200, "{\"paused\": false}\n".to_string())
         }
         ("POST", "/shutdown") => {
-            trigger_shutdown();
+            // The daemon's request loop wakes its accept once it sees
+            // the flag.
+            SHUTDOWN.store(true, Ordering::SeqCst);
             (200, "{\"draining\": true}\n".to_string())
         }
         ("GET", _) if path.starts_with("/jobs/") => job_route(path, manager),
@@ -395,7 +397,7 @@ fn result_wait(query: Option<&str>) -> Result<Duration, String> {
 }
 
 /// `GET /metrics`: service, queue and cache counters in one document.
-fn metrics_json(manager: &JobManager) -> String {
+fn metrics_json(manager: &JobManager, ctx: &Context) -> String {
     let c = manager.counters();
     let mut out = format!(
         "{{\"jobs\": {{\"submitted\": {}, \"coalesced\": {}, \"rejected\": {}, \
@@ -410,7 +412,7 @@ fn metrics_json(manager: &JobManager) -> String {
         manager.queue_depth(),
         manager.paused()
     );
-    if let Some(cache) = runner::global_cell_cache() {
+    if let Some(cache) = ctx.cache() {
         let cc = cache.counters();
         out.push_str(&format!(
             ", \"cache\": {{\"hits\": {}, \"misses\": {}, \"stores\": {}, \
@@ -444,6 +446,7 @@ mod tests {
                 body: body.to_string(),
             },
             manager,
+            &Context::new(),
         )
     }
 
@@ -455,6 +458,7 @@ mod tests {
                 body: String::new(),
             },
             manager,
+            &Context::new(),
         )
     }
 
@@ -503,6 +507,7 @@ mod tests {
                     body: String::new(),
                 },
                 &m,
+                &Context::new(),
             )
             .0,
             405
@@ -547,7 +552,7 @@ mod tests {
         };
         m.submit(spec.clone(), 100, "c").unwrap();
         m.submit(spec, 100, "c").unwrap(); // coalesces
-        let doc = json::parse(&metrics_json(&m)).unwrap();
+        let doc = json::parse(&metrics_json(&m, &Context::new())).unwrap();
         let jobs = doc.get("jobs").unwrap();
         assert_eq!(jobs.get("submitted").unwrap().as_u64(), Some(1));
         assert_eq!(jobs.get("coalesced").unwrap().as_u64(), Some(1));

@@ -6,10 +6,11 @@
 //! cargo run --release --example invalidations
 //! ```
 
-use dmdc::core::experiments::{run_workload, PolicyKind};
+use dmdc::core::experiments::{run_workload, table6_on, PolicyKind, DEFAULT_INVAL_RATES};
 use dmdc::core::report::Table;
+use dmdc::core::runner::Context;
 use dmdc::ooo::{CoreConfig, SimOptions};
-use dmdc::workloads::{Scale, SyntheticKernel};
+use dmdc::workloads::{full_suite, Scale, SyntheticKernel};
 
 fn main() {
     let config = CoreConfig::config2();
@@ -56,6 +57,9 @@ fn main() {
     // The paper's suite-level Table 6, at smoke scale so this example stays
     // quick; crank DMDC_SCALE for the real thing.
     if std::env::var("DMDC_TABLE6").is_ok() {
-        println!("{}", dmdc::core::experiments::table6(Scale::Smoke).render());
+        let suite = full_suite(Scale::Smoke);
+        let config = CoreConfig::config2();
+        let table6 = table6_on(&Context::new(), &suite, &config, &DEFAULT_INVAL_RATES);
+        println!("{}", table6.render());
     }
 }

@@ -8,8 +8,10 @@
 //! DMDC_SCALE=smoke cargo run --release --example yla_filtering
 //! ```
 
-use dmdc::core::experiments::{fig2, fig3};
-use dmdc::workloads::Scale;
+use dmdc::core::experiments::{fig2_on, fig3_on};
+use dmdc::core::runner::Context;
+use dmdc::ooo::CoreConfig;
+use dmdc::workloads::{full_suite, Scale};
 
 fn scale() -> Scale {
     match std::env::var("DMDC_SCALE")
@@ -24,7 +26,7 @@ fn scale() -> Scale {
 }
 
 fn main() {
-    let scale = scale();
-    println!("{}", fig2(scale).render());
-    println!("{}", fig3(scale).render());
+    let (ctx, suite, config) = (Context::new(), full_suite(scale()), CoreConfig::config2());
+    println!("{}", fig2_on(&ctx, &suite, &config).render());
+    println!("{}", fig3_on(&ctx, &suite, &config).render());
 }

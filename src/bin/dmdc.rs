@@ -23,24 +23,28 @@
 //! (see DESIGN.md §9).
 
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Duration;
 
 use dmdc::core::cache::{
-    default_cache_dir, default_fingerprint, default_runs_dir, unseal, write_sealed, CellCache,
-    CheckpointStore,
+    default_cache_dir, default_fingerprint, default_runs_dir, unseal, write_sealed,
 };
 use dmdc::core::distrib::{self, DistribOptions, PlanDescriptor};
-use dmdc::core::experiments::{self, PolicyKind};
-use dmdc::core::faults::{self, FaultPlan};
+use dmdc::core::experiments::{
+    self, find_workload, parse_config, parse_scale, scale_token, PolicyKind,
+};
+use dmdc::core::faults::FaultPlan;
 use dmdc::core::fuzz::{self, FuzzOptions};
 use dmdc::core::recovery;
 use dmdc::core::report::{fmt, OutputFormat, Report, Table};
-use dmdc::core::runner::{self, Engine, RunSpec};
-use dmdc::core::service::{self, http, jobs, json, ServeOptions};
+use dmdc::core::runner::{Context, Engine};
+use dmdc::core::sampling;
+use dmdc::core::service::{self, http, json, ServeOptions};
 use dmdc::isa::{Assembler, Emulator};
 use dmdc::ooo::{run_multicore, CoreConfig, MultiCoreOptions, SampleSpec, SimOptions, Simulator};
-use dmdc::workloads::{full_suite, Scale, SyntheticKernel, Workload};
+use dmdc::workloads::{Scale, Workload};
+
+/// Parsed `--key value` flags.
+type Flags = std::collections::HashMap<String, String>;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -216,8 +220,8 @@ corrupt, truncate and kill-after count durable store writes.
 /// Parses `--key value` pairs; a `--flag` followed by another flag (or by
 /// nothing) is boolean and stored as `"true"`. Returns an error for stray
 /// non-flag arguments.
-fn parse_flags(args: &[String]) -> Result<std::collections::HashMap<String, String>, String> {
-    let mut flags = std::collections::HashMap::new();
+fn parse_flags(args: &[String]) -> Result<Flags, String> {
+    let mut flags = Flags::new();
     let mut it = args.iter().peekable();
     while let Some(a) = it.next() {
         let key = a
@@ -236,65 +240,45 @@ fn parse_policy(name: &str) -> Result<PolicyKind, String> {
     PolicyKind::parse_token(name)
 }
 
-fn parse_config(flags: &std::collections::HashMap<String, String>) -> Result<CoreConfig, String> {
-    match flags.get("config").map(String::as_str).unwrap_or("2") {
-        "1" => Ok(CoreConfig::config1()),
-        "2" => Ok(CoreConfig::config2()),
-        "3" => Ok(CoreConfig::config3()),
-        other => Err(format!("unknown config `{other}` (1, 2 or 3)")),
-    }
+/// `--config` (config 2 when absent).
+fn config_flag(flags: &Flags) -> &str {
+    flags.get("config").map(String::as_str).unwrap_or("2")
 }
 
-/// Applies `--profile` as the process-wide profiling switch for the runner.
-fn apply_profile(flags: &std::collections::HashMap<String, String>) {
-    if flags.contains_key("profile") {
-        runner::set_profile(true);
-    }
+/// `--scale` (default scale when absent).
+fn scale_flag(flags: &Flags) -> Result<Scale, String> {
+    parse_scale(flags.get("scale").map(String::as_str).unwrap_or("default"))
 }
 
-/// Prints the accumulated profile totals — plus the cell cache's and
-/// checkpoint store's hit/miss/integrity counters when installed, and
-/// the recovery ledger — to stderr, keeping stdout byte-identical with
-/// and without `--profile`.
-fn report_profile() {
-    if runner::profile_enabled() {
-        eprint!("{}", runner::take_profile_totals().render());
-        if let Some(cache) = runner::global_cell_cache() {
-            let c = cache.counters();
-            eprintln!(
-                "[profile] cell cache: {} hits, {} misses, {} stored, {} corrupt, {} quarantined ({})",
-                c.hits,
-                c.misses,
-                c.stores,
-                c.corrupt,
-                c.quarantined,
-                cache.dir().display(),
-            );
+/// Resolves `--sampled` / `--exact` at `scale` through the rule every
+/// front end shares ([`sampling::spec_for`]).
+fn sampling_flags(flags: &Flags, scale: Scale) -> Result<SampleSpec, String> {
+    let forced = match (flags.contains_key("sampled"), flags.contains_key("exact")) {
+        (true, true) => return Err("--exact and --sampled are mutually exclusive".to_string()),
+        (sampled, exact) => (sampled || exact).then_some(sampled),
+    };
+    Ok(sampling::spec_for(scale, forced))
+}
+
+/// The run context `serve` and `worker` start from: `--jobs`,
+/// `--retries`, `--cell-timeout` (milliseconds) and `--inject-faults`.
+/// The fault plan comes first, so the stores installed afterwards run it.
+fn base_context(flags: &Flags) -> Result<Context, String> {
+    let mut ctx = Context::new();
+    if let Some(n) = flags.get("jobs") {
+        let n: usize = n
+            .parse()
+            .map_err(|_| "bad --jobs (want a positive integer)")?;
+        if n == 0 {
+            return Err("--jobs must be at least 1".to_string());
         }
-        if let Some(store) = runner::global_checkpoint_store() {
-            let c = store.counters();
-            eprintln!(
-                "[profile] checkpoint store: {} hits, {} misses, {} stored, {} corrupt, {} quarantined ({})",
-                c.hits,
-                c.misses,
-                c.stores,
-                c.corrupt,
-                c.quarantined,
-                store.dir().display(),
-            );
-        }
-        eprintln!("{}", recovery::render(&recovery::counters()));
+        ctx = ctx.with_jobs(n);
     }
-}
-
-/// Applies `--retries`, `--cell-timeout` (milliseconds) and
-/// `--inject-faults` as process-wide recovery settings for the runner.
-fn apply_recovery(flags: &std::collections::HashMap<String, String>) -> Result<(), String> {
     if let Some(n) = flags.get("retries") {
         let n: usize = n
             .parse()
             .map_err(|_| "bad --retries (want a non-negative integer)")?;
-        runner::set_default_retries(n);
+        ctx = ctx.with_retries(n);
     }
     if let Some(ms) = flags.get("cell-timeout") {
         let ms: u64 = ms
@@ -303,30 +287,38 @@ fn apply_recovery(flags: &std::collections::HashMap<String, String>) -> Result<(
         if ms == 0 {
             return Err("--cell-timeout must be at least 1 millisecond".to_string());
         }
-        runner::set_default_cell_timeout(Some(Duration::from_millis(ms)));
+        ctx = ctx.with_cell_timeout(Some(Duration::from_millis(ms)));
     }
     if let Some(spec) = flags.get("inject-faults") {
-        faults::set_fault_plan(Some(FaultPlan::parse(spec)?));
+        ctx = ctx.with_faults(FaultPlan::parse(spec)?);
     }
-    Ok(())
+    Ok(ctx)
 }
 
-/// First line of a run's sealed manifest body.
-const MANIFEST_MAGIC: &str = "dmdc-manifest v1";
-
-/// With `--run-id`, records the run under `target/dmdc-runs/<run-id>/`:
-/// the sealed manifest (command line plus simulator fingerprint) that
-/// `dmdc run --resume` re-dispatches, and the run directory sampled cells
-/// keep their partial-progress envelopes in. Completed cells persist
-/// through the cell store alone — the shared one, or under `--no-cache` a
+/// The run context of `run`, `suite` and `experiment`: [`base_context`]
+/// plus `--profile`, the sampling mode, the cell cache and checkpoint
+/// store under `target/dmdc-cache/` (unless `--no-cache`), and with
+/// `--run-id` the run's record under `target/dmdc-runs/<run-id>/`: the
+/// sealed manifest (command line plus simulator fingerprint) that `dmdc
+/// run --resume` re-dispatches, and the run directory sampled cells keep
+/// their partial-progress envelopes in. Completed cells persist through
+/// the cell store alone — the shared one, or under `--no-cache` a
 /// run-private store at `<run>/journal/` — so a resume finds them there.
-fn apply_run_id(
+fn run_context(
     command: &str,
     args: &[String],
-    flags: &std::collections::HashMap<String, String>,
-) -> Result<(), String> {
+    flags: &Flags,
+    sampling: SampleSpec,
+) -> Result<Context, String> {
+    let mut ctx = base_context(flags)?.with_sampling(sampling);
+    if flags.contains_key("profile") {
+        ctx = ctx.with_profile();
+    }
+    if !flags.contains_key("no-cache") {
+        ctx = ctx.with_store(default_cache_dir());
+    }
     let Some(run_id) = flags.get("run-id") else {
-        return Ok(());
+        return Ok(ctx);
     };
     let run_dir = default_runs_dir().join(run_id);
     std::fs::create_dir_all(&run_dir)
@@ -342,11 +334,49 @@ fn apply_run_id(
         let private = run_dir.join("journal");
         std::fs::create_dir_all(&private)
             .map_err(|e| format!("cannot create run store {}: {e}", private.display()))?;
-        runner::set_global_cell_cache(Some(Arc::new(CellCache::new(private))));
+        ctx = ctx.with_cell_cache(private);
     }
-    runner::set_run_dir(Some(run_dir));
-    Ok(())
+    Ok(ctx.with_run_dir(run_dir))
 }
+
+/// Prints the context's profile totals — plus the cell cache's and
+/// checkpoint store's hit/miss/integrity counters when installed, and
+/// the recovery counters — to stderr under `--profile`, keeping stdout
+/// byte-identical with and without it.
+fn report_profile(ctx: &Context) {
+    let Some(totals) = ctx.take_profile() else {
+        return;
+    };
+    eprint!("{}", totals.render());
+    if let Some(cache) = ctx.cache() {
+        let c = cache.counters();
+        eprintln!(
+            "[profile] cell cache: {} hits, {} misses, {} stored, {} corrupt, {} quarantined ({})",
+            c.hits,
+            c.misses,
+            c.stores,
+            c.corrupt,
+            c.quarantined,
+            cache.dir().display(),
+        );
+    }
+    if let Some(store) = ctx.checkpoints() {
+        let c = store.counters();
+        eprintln!(
+            "[profile] checkpoint store: {} hits, {} misses, {} stored, {} corrupt, {} quarantined ({})",
+            c.hits,
+            c.misses,
+            c.stores,
+            c.corrupt,
+            c.quarantined,
+            store.dir().display(),
+        );
+    }
+    eprintln!("{}", recovery::render(&ctx.recovery()));
+}
+
+/// First line of a run's sealed manifest body.
+const MANIFEST_MAGIC: &str = "dmdc-manifest v1";
 
 /// Renders the manifest body: fingerprint plus one `arg` line per
 /// command-line argument.
@@ -419,19 +449,8 @@ fn cmd_resume(run_id: &str) -> Result<(), String> {
     dispatch(&replay)
 }
 
-/// Installs the persistent cell cache and the checkpoint store (both
-/// under `target/dmdc-cache/`) unless `--no-cache` was given.
-fn apply_cache(flags: &std::collections::HashMap<String, String>) {
-    if !flags.contains_key("no-cache") {
-        runner::set_global_cell_cache(Some(Arc::new(CellCache::new(default_cache_dir()))));
-        runner::set_global_checkpoint_store(Some(Arc::new(CheckpointStore::new(
-            default_cache_dir(),
-        ))));
-    }
-}
-
 /// Parses `--format` (text, json or csv; text when absent).
-fn parse_format(flags: &std::collections::HashMap<String, String>) -> Result<OutputFormat, String> {
+fn parse_format(flags: &Flags) -> Result<OutputFormat, String> {
     flags
         .get("format")
         .map(String::as_str)
@@ -439,27 +458,11 @@ fn parse_format(flags: &std::collections::HashMap<String, String>) -> Result<Out
         .parse()
 }
 
-/// Applies `--jobs N` as the process-wide worker count for the runner.
-fn apply_jobs(flags: &std::collections::HashMap<String, String>) -> Result<(), String> {
-    if let Some(n) = flags.get("jobs") {
-        let n: usize = n
-            .parse()
-            .map_err(|_| "bad --jobs (want a positive integer)")?;
-        if n == 0 {
-            return Err("--jobs must be at least 1".to_string());
-        }
-        runner::set_default_jobs(n);
-    }
-    Ok(())
-}
-
 /// Parses `--distrib` and its companions into [`DistribOptions`]; `None`
 /// when `--distrib` was not given. The `--inject-faults` spec is
 /// forwarded verbatim to spawned workers so the chaos keys fire in the
 /// processes they describe.
-fn parse_distrib(
-    flags: &std::collections::HashMap<String, String>,
-) -> Result<Option<DistribOptions>, String> {
+fn parse_distrib(flags: &Flags) -> Result<Option<DistribOptions>, String> {
     if !flags.contains_key("distrib") {
         return Ok(None);
     }
@@ -518,56 +521,7 @@ fn cmd_worker(args: &[String]) -> Result<(), String> {
         .get("id")
         .cloned()
         .unwrap_or_else(|| format!("worker-{}", std::process::id()));
-    apply_recovery(&flags)?;
-    distrib::run_worker(&addr, &id)
-}
-
-fn parse_scale(flags: &std::collections::HashMap<String, String>) -> Result<Scale, String> {
-    match flags.get("scale").map(String::as_str).unwrap_or("default") {
-        "smoke" => Ok(Scale::Smoke),
-        "default" => Ok(Scale::Default),
-        "large" => Ok(Scale::Large),
-        "full" => Ok(Scale::Full),
-        other => Err(format!("unknown scale `{other}`")),
-    }
-}
-
-/// Resolves the sampling mode from `--sampled` / `--exact` and the scale:
-/// paper-scale (`--scale full`) runs sample by default because exact
-/// simulation at that size is intractable; every other scale stays exact
-/// unless `--sampled` asks otherwise. Returns the spec it installed as
-/// the process-wide default for the runner.
-fn apply_sampling(
-    flags: &std::collections::HashMap<String, String>,
-    scale: Scale,
-) -> Result<SampleSpec, String> {
-    if flags.contains_key("exact") && flags.contains_key("sampled") {
-        return Err("--exact and --sampled are mutually exclusive".to_string());
-    }
-    let on = if flags.contains_key("exact") {
-        false
-    } else {
-        flags.contains_key("sampled") || scale == Scale::Full
-    };
-    let spec = if on {
-        SampleSpec::standard()
-    } else {
-        SampleSpec::EXACT
-    };
-    runner::set_default_sampling(spec);
-    Ok(spec)
-}
-
-fn find_workload(name: &str, scale: Scale) -> Result<Workload, String> {
-    if name == "synthetic" {
-        return Ok(SyntheticKernel::new(20_000 * scale.factor())
-            .branch_noise(true)
-            .build());
-    }
-    full_suite(scale)
-        .into_iter()
-        .find(|w| w.name == name)
-        .ok_or_else(|| format!("unknown workload `{name}` (see `dmdc list`)"))
+    distrib::run_worker(&base_context(&flags)?, &addr, &id)
 }
 
 fn cmd_list() {
@@ -599,13 +553,19 @@ fn cmd_list() {
 fn cmd_run(args: &[String]) -> Result<(), String> {
     let flags = parse_flags(args)?;
     if let Some(run_id) = flags.get("resume") {
+        if flags.len() > 1 {
+            return Err(
+                "`run --resume` takes no other flags: a resumed run's flags come from its manifest"
+                    .to_string(),
+            );
+        }
         return cmd_resume(run_id);
     }
     let workload_name = flags.get("workload").ok_or("--workload is required")?;
     let policy = parse_policy(flags.get("policy").ok_or("--policy is required")?)?;
-    let config = parse_config(&flags)?;
-    let scale = parse_scale(&flags)?;
-    let spec = apply_sampling(&flags, scale)?;
+    let config = parse_config(config_flag(&flags))?;
+    let scale = scale_flag(&flags)?;
+    let spec = sampling_flags(&flags, scale)?;
     let workload = find_workload(workload_name, scale)?;
 
     let mut opts = SimOptions::default();
@@ -664,18 +624,13 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             return Err("--max-commits needs an exact run (add --exact)".to_string());
         }
         opts.sampling = spec;
-        if opts.profile {
-            runner::set_profile(true);
-        }
         // Single sampled runs bypass the engine (no cell cache lookups),
-        // but the sampling driver itself consults the checkpoint store —
-        // installing it makes repeat runs skip the fast-forward.
-        apply_cache(&flags);
-        apply_recovery(&flags)?;
-        apply_run_id("run", args, &flags)?;
-        let cell = experiments::run_workload(&workload, &config, &policy, opts);
+        // but the sampling driver itself consults the context's
+        // checkpoint store — so repeat runs skip the fast-forward.
+        let ctx = run_context("run", args, &flags, spec)?;
+        let cell = experiments::run_workload_in(&ctx, &workload, &config, &policy, opts);
         print_run_stats(&workload, &policy, &config, &cell.stats);
-        report_profile();
+        report_profile(&ctx);
         return Ok(());
     }
 
@@ -702,7 +657,7 @@ fn cmd_run_coherent(
     workload: &Workload,
     policy: &PolicyKind,
     config: &CoreConfig,
-    flags: &std::collections::HashMap<String, String>,
+    flags: &Flags,
 ) -> Result<(), String> {
     if !matches!(
         policy,
@@ -838,92 +793,35 @@ fn cmd_suite(args: &[String]) -> Result<(), String> {
             .map(String::as_str)
             .unwrap_or("dmdc-global"),
     )?;
-    let config = parse_config(&flags)?;
-    let scale = parse_scale(&flags)?;
+    let config = parse_config(config_flag(&flags))?;
+    let scale = scale_flag(&flags)?;
     let format = parse_format(&flags)?;
-    apply_jobs(&flags)?;
-    apply_profile(&flags);
-    apply_cache(&flags);
-    apply_recovery(&flags)?;
-    let sampling = apply_sampling(&flags, scale)?;
-    apply_run_id("suite", args, &flags)?;
-    let mut t = Table::new(format!("suite under {policy:?} on {}", config.name));
-    t.headers([
-        "workload",
-        "group",
-        "IPC",
-        "replays/1M",
-        "safe stores",
-        "safe loads",
-    ]);
-    let suite = full_suite(scale);
+    let ctx = run_context("suite", args, &flags, sampling_flags(&flags, scale)?)?;
+    // The worker fleet rebuilds this exact matrix from the descriptor;
+    // either way the cells feed the same table code.
+    let desc = PlanDescriptor::Suite {
+        policy: policy.clone(),
+        config: config_flag(&flags)
+            .parse()
+            .expect("validated by parse_config"),
+        scale,
+        sampled: ctx.sampling().enabled(),
+    };
     let (runs, failures) = match parse_distrib(&flags)? {
-        Some(dopts) => {
-            // The worker fleet rebuilds this exact matrix from the
-            // descriptor; the assembled cells feed the same table code.
-            let config_num: u8 = flags
-                .get("config")
-                .map(String::as_str)
-                .unwrap_or("2")
-                .parse()
-                .expect("validated by parse_config");
-            let desc = PlanDescriptor::Suite {
-                policy: policy.clone(),
-                config: config_num,
-                scale,
-                sampled: sampling.enabled(),
-            };
-            distrib::execute_plan_distributed(&desc, &dopts)?
-        }
+        Some(dopts) => distrib::execute_plan_distributed(&ctx, &desc, &dopts)?,
         None => {
-            let specs: Vec<RunSpec> = (0..suite.len())
-                .map(|i| RunSpec::new(i, &config, policy.clone()))
-                .collect();
-            let engine = Engine::new(&suite);
-            engine.run_all_recovered(&specs)
+            let plan = desc.plan()?;
+            Engine::new(&ctx, &plan.workloads).run_all_recovered(&plan.specs())
         }
     };
-    for (w, r) in suite.iter().zip(&runs) {
-        let Some(r) = r else { continue };
-        let s = &r.stats;
-        // Sampled cells show each estimate with its 95% half-width; exact
-        // cells render byte-identically to before.
-        let row = if s.is_sampled() {
-            let sp = &s.sampling;
-            [
-                fmt::f2_ci(s.ipc(), sp.ipc_ci()),
-                fmt::f1_ci(
-                    s.per_million(s.policy.replays.total()),
-                    sp.replays_per_m_ci(),
-                ),
-                fmt::pct_ci(s.policy.store_filter_rate(), sp.filter_rate_ci()),
-                fmt::pct_ci(s.policy.safe_load_rate(), sp.safe_load_rate_ci()),
-            ]
-        } else {
-            [
-                fmt::f2(s.ipc()),
-                fmt::f1(s.per_million(s.policy.replays.total())),
-                fmt::pct(s.policy.store_filter_rate()),
-                fmt::pct(s.policy.safe_load_rate()),
-            ]
-        };
-        let [ipc, replays, stores, loads] = row;
-        t.row([
-            w.name.to_string(),
-            w.group.to_string(),
-            ipc,
-            replays,
-            stores,
-            loads,
-        ]);
-    }
+    let title = format!("suite under {policy:?} on {}", config.name);
     let quarantined = failures.len();
-    let mut report = Report::single("suite", t);
+    let mut report = Report::single("suite", Table::cells(title, runs.iter().flatten()));
     for f in failures {
         report.push_failure(f);
     }
     print!("{}", report.emit(format));
-    report_profile();
+    report_profile(&ctx);
     if quarantined > 0 {
         return Err(format!(
             "{quarantined} cell(s) quarantined; the report is partial"
@@ -937,14 +835,9 @@ fn cmd_experiment(args: &[String]) -> Result<(), String> {
         .first()
         .ok_or("which experiment? (see `dmdc list`: fig2..fig5, table2..table6, ablations, all)")?;
     let flags = parse_flags(&args[1..])?;
-    let scale = parse_scale(&flags)?;
+    let scale = scale_flag(&flags)?;
     let format = parse_format(&flags)?;
-    apply_jobs(&flags)?;
-    apply_profile(&flags);
-    apply_cache(&flags);
-    apply_recovery(&flags)?;
-    let sampling = apply_sampling(&flags, scale)?;
-    apply_run_id("experiment", args, &flags)?;
+    let ctx = run_context("experiment", args, &flags, sampling_flags(&flags, scale)?)?;
     let distrib_opts = parse_distrib(&flags)?;
     let ids: Vec<&str> = match which.as_str() {
         "all" => experiments::registry().iter().map(|e| e.id()).collect(),
@@ -956,15 +849,13 @@ fn cmd_experiment(args: &[String]) -> Result<(), String> {
         let exp = experiments::find_experiment(id)
             .ok_or_else(|| format!("unknown experiment `{id}` (see `dmdc list`)"))?;
         let report = match &distrib_opts {
-            Some(dopts) => {
-                distrib::run_experiment_distributed(exp, scale, sampling.enabled(), dopts)?
-            }
-            None => experiments::run_experiment(exp, scale),
+            Some(dopts) => distrib::run_experiment_distributed(&ctx, exp, scale, dopts)?,
+            None => experiments::run_experiment(&ctx, exp, scale),
         };
         quarantined += report.failures().len();
         print!("{}", report.emit(format));
     }
-    report_profile();
+    report_profile(&ctx);
     if quarantined > 0 {
         return Err(format!(
             "{quarantined} cell(s) quarantined; the report is partial"
@@ -998,10 +889,10 @@ fn cmd_fuzz(args: &[String]) -> Result<(), String> {
                     policies.push(parse_policy(tok.trim())?);
                 }
             }
-            "config" => match value.as_str() {
-                "1" | "2" | "3" => opts.config = value,
-                other => return Err(format!("unknown config `{other}` (1, 2 or 3)")),
-            },
+            "config" => {
+                parse_config(&value)?;
+                opts.config = value;
+            }
             "out" => opts.out_dir = std::path::PathBuf::from(value),
             "replay" => replay_path = Some(value),
             "threads" => {
@@ -1086,8 +977,7 @@ fn cmd_fuzz(args: &[String]) -> Result<(), String> {
 /// text and `dmdc::core::service` for the wire contract).
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     let flags = parse_flags(args)?;
-    apply_jobs(&flags)?;
-    apply_recovery(&flags)?;
+    let ctx = base_context(&flags)?;
     let mut opts = ServeOptions::default();
     if let Some(addr) = flags.get("addr") {
         opts.addr = addr.clone();
@@ -1104,12 +994,12 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         }
     }
     opts.paused = flags.contains_key("paused");
-    service::serve(&opts)
+    service::serve(&ctx.with_cell_cache(opts.state_dir.join("cache")), &opts)
 }
 
 /// The daemon address for the client subcommands: `--addr`, else the
 /// `DMDC_ADDR` environment variable, else the default port.
-fn server_addr(flags: &std::collections::HashMap<String, String>) -> String {
+fn server_addr(flags: &Flags) -> String {
     flags
         .get("addr")
         .cloned()
@@ -1123,22 +1013,20 @@ fn server_addr(flags: &std::collections::HashMap<String, String>) -> String {
 fn cmd_submit(args: &[String]) -> Result<(), String> {
     let flags = parse_flags(args)?;
     let addr = server_addr(&flags);
-    let scale = parse_scale(&flags)?;
+    let scale = scale_flag(&flags)?;
     let mut body = if let Some(id) = flags.get("experiment") {
         format!(
             "{{\"kind\": \"experiment\", \"id\": \"{}\", \"scale\": \"{}\"",
             json::escape(id),
-            jobs::scale_token(scale)
+            scale_token(scale)
         )
     } else {
         let workload = flags
             .get("workload")
             .ok_or("--workload or --experiment is required")?;
         let policy = parse_policy(flags.get("policy").ok_or("--policy is required")?)?;
-        let config = flags.get("config").map(String::as_str).unwrap_or("2");
-        if !matches!(config, "1" | "2" | "3") {
-            return Err(format!("unknown config `{config}` (1, 2 or 3)"));
-        }
+        let config = config_flag(&flags);
+        parse_config(config)?;
         let inval_rate: f64 = match flags.get("inval-rate") {
             None => 0.0,
             Some(r) => r.parse().map_err(|_| "bad --inval-rate")?,
@@ -1149,8 +1037,10 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
              \"sampled\": {}",
             json::escape(workload),
             json::escape(&policy.token()),
-            jobs::scale_token(scale),
-            flags.contains_key("sampled")
+            scale_token(scale),
+            // The daemon samples a cell exactly when this says so; fill it
+            // with the rule `dmdc run` applies at the same scale.
+            sampling::spec_for(scale, flags.contains_key("sampled").then_some(true)).enabled()
         )
     };
     if let Some(priority) = flags.get("priority") {

@@ -13,11 +13,9 @@
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
-use std::sync::Arc;
 
-use dmdc::core::cache::CellCache;
 use dmdc::core::experiments::{registry, run_experiment};
-use dmdc::core::runner::set_global_cell_cache;
+use dmdc::core::runner::Context;
 use dmdc::isa::{BlockCode, EmuError, Emulator};
 use dmdc::workloads::{full_suite, FuzzKernel, Scale, Workload};
 use proptest::prelude::*;
@@ -189,12 +187,12 @@ fn experiment_json_and_csv_match_goldens() {
     let cache_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("target")
         .join("dmdc-cache-format-golden-test");
-    set_global_cell_cache(Some(Arc::new(CellCache::new(cache_dir))));
+    let ctx = Context::new().with_cell_cache(cache_dir);
     let exp = registry()
         .iter()
         .find(|e| e.id() == "fig2")
         .expect("fig2 is in the registry");
-    let report = run_experiment(*exp, Scale::Smoke);
+    let report = run_experiment(&ctx, *exp, Scale::Smoke);
     let golden_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/formats");
     for (ext, actual) in [("json", report.json()), ("csv", report.csv())] {
         let path = golden_dir.join(format!("fig2.{ext}"));

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use dmdc::core::cache::{seal, CellCache};
 use dmdc::core::experiments::PolicyKind;
-use dmdc::core::runner::{Engine, RunSpec};
+use dmdc::core::runner::{Context, Engine, RunSpec};
 use dmdc::ooo::CoreConfig;
 use dmdc::workloads::{SyntheticKernel, Workload};
 
@@ -33,7 +33,7 @@ fn spec() -> RunSpec {
 }
 
 fn run(workloads: &[Workload], cache: &Arc<CellCache>) -> dmdc::core::CellResult {
-    Engine::with_jobs(workloads, 1)
+    Engine::new(&Context::new().with_jobs(1), workloads)
         .with_cache(Some(Arc::clone(cache)))
         .run_cell(&spec())
 }

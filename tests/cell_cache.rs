@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use dmdc::core::cache::CellCache;
 use dmdc::core::experiments::PolicyKind;
-use dmdc::core::runner::{Engine, RunSpec};
+use dmdc::core::runner::{Context, Engine, RunSpec};
 use dmdc::ooo::CoreConfig;
 use dmdc::workloads::{int_suite, Scale, SyntheticKernel, Workload};
 
@@ -40,7 +40,7 @@ fn specs() -> Vec<RunSpec> {
 }
 
 fn run(workloads: &[Workload], cache: &Arc<CellCache>) -> Vec<dmdc::core::CellResult> {
-    let engine = Engine::new(workloads).with_cache(Some(Arc::clone(cache)));
+    let engine = Engine::new(&Context::new(), workloads).with_cache(Some(Arc::clone(cache)));
     specs().iter().map(|s| engine.run_cell(s)).collect()
 }
 

@@ -347,6 +347,17 @@ fn resume_fails_clearly_on_unknown_or_damaged_runs() {
         ],
     );
     assert!(other.status.success(), "{}", stderr(&other));
+
+    // A resume takes its flags from the manifest: any other flag on the
+    // command line is refused, not silently dropped.
+    let extra = dmdc(&wd, &["run", "--resume", "foreign", "--jobs", "2"]);
+    assert!(!extra.status.success(), "extra flags must be refused");
+    assert!(
+        stderr(&extra).contains("come from its manifest"),
+        "want the refusal to say where a resume's flags come from, got: {}",
+        stderr(&extra)
+    );
+
     let manifest = wd.join("target/dmdc-runs/foreign/manifest");
     let text = std::fs::read_to_string(&manifest).unwrap();
     // Re-seal the manifest with a doctored fingerprint line.

@@ -6,6 +6,7 @@ use dmdc::core::experiments::{
     checking_queue_ablation_on, fig2_on, fig3_on, fig4_on, replay_breakdown_on,
     safe_load_ablation_on, sq_filter_potential_on, table_size_ablation_on, window_stats_on,
 };
+use dmdc::core::runner::Context;
 use dmdc::ooo::CoreConfig;
 use dmdc::workloads::{full_suite, Group, Scale, Workload};
 
@@ -13,9 +14,13 @@ fn suite() -> Vec<Workload> {
     full_suite(Scale::Smoke)
 }
 
+fn ctx() -> Context {
+    Context::new()
+}
+
 #[test]
 fn fig2_quad_word_beats_line_interleaving_and_grows_with_regs() {
-    let fig = fig2_on(&suite(), &CoreConfig::config2());
+    let fig = fig2_on(&ctx(), &suite(), &CoreConfig::config2());
     for group in [Group::Int, Group::Fp] {
         let series = |interleave: &str| -> Vec<f64> {
             fig.rows
@@ -54,7 +59,7 @@ fn fig2_quad_word_beats_line_interleaving_and_grows_with_regs() {
 
 #[test]
 fn fig3_yla_beats_same_scale_bloom_filters() {
-    let fig = fig3_on(&suite(), &CoreConfig::config2());
+    let fig = fig3_on(&ctx(), &suite(), &CoreConfig::config2());
     let mean = |design: &str, group: Group| {
         fig.rows
             .iter()
@@ -78,7 +83,7 @@ fn fig3_yla_beats_same_scale_bloom_filters() {
 
 #[test]
 fn fig4_savings_grow_with_machine_size() {
-    let fig = fig4_on(&suite(), &CoreConfig::all());
+    let fig = fig4_on(&ctx(), &suite(), &CoreConfig::all());
     for group in [Group::Int, Group::Fp] {
         let series: Vec<f64> = fig
             .rows
@@ -110,8 +115,8 @@ fn fig4_savings_grow_with_machine_size() {
 
 #[test]
 fn window_tables_have_the_paper_shape() {
-    let global = window_stats_on(&suite(), &CoreConfig::config2(), false);
-    let local = window_stats_on(&suite(), &CoreConfig::config2(), true);
+    let global = window_stats_on(&ctx(), &suite(), &CoreConfig::config2(), false);
+    let local = window_stats_on(&ctx(), &suite(), &CoreConfig::config2(), true);
     for (g, l) in global.rows.iter().zip(&local.rows) {
         assert!(
             g.instructions > g.loads,
@@ -130,8 +135,8 @@ fn window_tables_have_the_paper_shape() {
 #[test]
 fn replay_tables_favor_local_and_int_dominates_fp() {
     let config = CoreConfig::config2();
-    let global = replay_breakdown_on(&suite(), &config, false);
-    let local = replay_breakdown_on(&suite(), &config, true);
+    let global = replay_breakdown_on(&ctx(), &suite(), &config, false);
+    let local = replay_breakdown_on(&ctx(), &suite(), &config, true);
     let int_g = &global.rows[0];
     let fp_g = &global.rows[1];
     assert!(
@@ -151,7 +156,12 @@ fn replay_tables_favor_local_and_int_dominates_fp() {
 fn checking_queue_equivalence_point_exists() {
     // Some moderate queue depth should match the table's replay rate to
     // within a small factor (the paper estimates ~16 entries ≈ 2K table).
-    let ablation = checking_queue_ablation_on(&suite(), &CoreConfig::config2(), &[4, 16, 32]);
+    let ablation = checking_queue_ablation_on(
+        &Context::new(),
+        &suite(),
+        &CoreConfig::config2(),
+        &[4, 16, 32],
+    );
     let table_int = ablation
         .rows
         .iter()
@@ -184,7 +194,7 @@ fn checking_queue_equivalence_point_exists() {
 
 #[test]
 fn safe_load_ablation_shows_the_benefit() {
-    let ab = safe_load_ablation_on(&suite(), &CoreConfig::config2());
+    let ab = safe_load_ablation_on(&ctx(), &suite(), &CoreConfig::config2());
     for (group, with, without) in &ab.rows {
         assert!(
             with <= without,
@@ -196,7 +206,7 @@ fn safe_load_ablation_shows_the_benefit() {
 #[test]
 fn sq_filter_potential_is_nontrivial() {
     // Paper §3: "about 20%" of loads are older than every in-flight store.
-    let p = sq_filter_potential_on(&suite(), &CoreConfig::config2());
+    let p = sq_filter_potential_on(&ctx(), &suite(), &CoreConfig::config2());
     for (group, potential, saved, slowdown) in &p.rows {
         assert!(
             potential.mean > 0.02 && potential.mean < 0.95,
@@ -218,7 +228,12 @@ fn sq_filter_potential_is_nontrivial() {
 fn growing_the_table_has_diminishing_returns() {
     // Paper §6.2.2: hashing is a minor replay cause at 2K entries, so a
     // bigger table barely helps — while a much smaller one hurts.
-    let ab = table_size_ablation_on(&suite(), &CoreConfig::config2(), &[64, 2048, 8192]);
+    let ab = table_size_ablation_on(
+        &Context::new(),
+        &suite(),
+        &CoreConfig::config2(),
+        &[64, 2048, 8192],
+    );
     let int_false = |entries: u32| {
         ab.rows
             .iter()

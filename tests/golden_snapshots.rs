@@ -15,11 +15,8 @@
 //! done
 //! ```
 
-use std::sync::Arc;
-
-use dmdc::core::cache::CellCache;
 use dmdc::core::experiments::{registry, run_experiment};
-use dmdc::core::runner::set_global_cell_cache;
+use dmdc::core::runner::Context;
 use dmdc::workloads::Scale;
 
 #[test]
@@ -31,7 +28,7 @@ fn every_registry_experiment_matches_its_golden_snapshot() {
     let cache_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("target")
         .join("dmdc-cache-golden-test");
-    set_global_cell_cache(Some(Arc::new(CellCache::new(cache_dir))));
+    let ctx = Context::new().with_cell_cache(cache_dir);
 
     let golden_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
@@ -40,7 +37,7 @@ fn every_registry_experiment_matches_its_golden_snapshot() {
         let path = golden_dir.join(format!("{}.txt", exp.id()));
         let expected = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("missing golden snapshot {}: {e}", path.display()));
-        let actual = run_experiment(*exp, Scale::Smoke).text();
+        let actual = run_experiment(&ctx, *exp, Scale::Smoke).text();
         assert_eq!(
             actual,
             expected,

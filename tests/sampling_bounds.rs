@@ -7,13 +7,9 @@
 //! so these bounds either always hold or never do; a failure means a
 //! change to the sampling engine (or the workloads) moved an estimate
 //! outside its own error bar.
-//!
-//! The whole comparison lives in ONE test function: sampled mode is the
-//! process-wide default the CLI installs (`runner::set_default_sampling`),
-//! and parallel test threads must not race on it.
 
 use dmdc::core::experiments::{fig2_on, table6_on, Fig2, Table6};
-use dmdc::core::runner::set_default_sampling;
+use dmdc::core::runner::Context;
 use dmdc::ooo::{CoreConfig, SampleSpec};
 use dmdc::workloads::{full_suite, Scale};
 
@@ -23,23 +19,24 @@ const EPS: f64 = 1e-6;
 
 const RATES: [f64; 4] = [0.0, 1.0, 10.0, 100.0];
 
+/// The exact and the sampled context.
+fn contexts() -> [Context; 2] {
+    [
+        Context::new(),
+        Context::new().with_sampling(SampleSpec::standard()),
+    ]
+}
+
 fn fig2_pair(scale: Scale) -> (Fig2, Fig2) {
     let config = CoreConfig::config2();
-    set_default_sampling(SampleSpec::EXACT);
-    let exact = fig2_on(&full_suite(scale), &config);
-    set_default_sampling(SampleSpec::standard());
-    let sampled = fig2_on(&full_suite(scale), &config);
-    set_default_sampling(SampleSpec::EXACT);
+    let [exact, sampled] = contexts().map(|ctx| fig2_on(&ctx, &full_suite(scale), &config));
     (exact, sampled)
 }
 
 fn table6_pair(scale: Scale) -> (Table6, Table6) {
     let config = CoreConfig::config2();
-    set_default_sampling(SampleSpec::EXACT);
-    let exact = table6_on(&full_suite(scale), &config, &RATES);
-    set_default_sampling(SampleSpec::standard());
-    let sampled = table6_on(&full_suite(scale), &config, &RATES);
-    set_default_sampling(SampleSpec::EXACT);
+    let [exact, sampled] =
+        contexts().map(|ctx| table6_on(&ctx, &full_suite(scale), &config, &RATES));
     (exact, sampled)
 }
 
@@ -94,9 +91,15 @@ fn check_table6(scale: Scale) {
 }
 
 #[test]
-fn sampled_estimates_bracket_exact_at_smoke_and_default() {
+fn fig2_sampled_estimates_bracket_exact_at_smoke_and_default() {
     for scale in [Scale::Smoke, Scale::Default] {
         check_fig2(scale);
+    }
+}
+
+#[test]
+fn table6_sampled_estimates_bracket_exact_at_smoke_and_default() {
+    for scale in [Scale::Smoke, Scale::Default] {
         check_table6(scale);
     }
 }

@@ -14,7 +14,7 @@
 
 use std::path::PathBuf;
 
-use dmdc::core::runner::set_global_cell_cache;
+use dmdc::core::runner::Context;
 use dmdc::core::service::http::Request;
 use dmdc::core::service::jobs::{self, JobManager};
 use dmdc::core::service::route;
@@ -53,6 +53,7 @@ fn post(manager: &JobManager, body: &str) -> (u16, String) {
             body: body.to_string(),
         },
         manager,
+        &Context::new(),
     )
 }
 
@@ -64,27 +65,31 @@ fn get(manager: &JobManager, path: &str) -> (u16, String) {
             body: String::new(),
         },
         manager,
+        &Context::new(),
     )
 }
 
 const CELL: &str = r#"{"kind": "cell", "workload": "histo", "policy": "baseline", "scale": "smoke", "client": "alice"}"#;
 
-/// One test drives the whole staged lifecycle: the wire documents build
-/// on each other (coalescing needs the created job, the result needs the
-/// completion), and a single `#[test]` keeps the process-global cache
-/// slot deterministic.
-#[test]
-fn wire_documents_match_golden_snapshots() {
-    // The metrics document includes a cache section only when the
-    // process-global cache is installed; pin it to absent.
-    set_global_cell_cache(None);
-
+/// A fresh, paused job manager under `target/<name>`.
+fn staged_manager(name: &str) -> (JobManager, PathBuf) {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("target")
-        .join("dmdc-service-wire-test");
+        .join(name);
     let _ = std::fs::remove_dir_all(&dir);
     let manager = JobManager::new(&dir, 2).unwrap();
     manager.set_paused(true);
+    (manager, dir)
+}
+
+/// One test drives the staged queue lifecycle: the wire documents build
+/// on each other (coalescing needs the created job, the metrics count
+/// every step). The metrics document includes a cache section only when
+/// the daemon's context has a cache; the routes here run under a bare
+/// context, so it is absent.
+#[test]
+fn wire_documents_match_golden_snapshots() {
+    let (manager, dir) = staged_manager("dmdc-service-wire-test");
 
     // Submit replies: created, coalesced, and the structured 429.
     let (status, created) = post(&manager, CELL);
@@ -121,23 +126,8 @@ fn wire_documents_match_golden_snapshots() {
     assert_eq!(timed_out, pending);
     check("result-wait-timeout.json", &timed_out);
 
-    // The stored result for the real simulation: the same report JSON
-    // the CLI's `--format json` emits, fetched through the result route.
-    let spec = manager_spec();
-    let payload = jobs::execute(&spec).expect("cell simulates clean");
-    manager.complete("job-1", Ok(payload));
-    let (status, result) = get(&manager, "/jobs/job-1/result");
-    assert_eq!(status, 200);
-    check("result-cell.json", &result);
-
-    // A long-poll on a finished job returns the stored payload at once.
-    let started = std::time::Instant::now();
-    let (status, waited) = get(&manager, "/jobs/job-1/result?wait=60000");
-    assert_eq!((status, waited.as_str()), (200, result.as_str()));
-    assert!(
-        started.elapsed() < std::time::Duration::from_secs(5),
-        "a finished job's long-poll must not park"
-    );
+    // A finished job (its stored result has its own test below).
+    manager.complete("job-1", Ok("{}\n".to_string()));
 
     // A failed job stores a structured error document, served as a 500.
     manager.complete(
@@ -156,18 +146,36 @@ fn wire_documents_match_golden_snapshots() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The stored result for the real simulation: the same report JSON the
+/// CLI's `--format json` emits, fetched through the result route.
+#[test]
+fn cell_result_document_matches_golden_snapshot() {
+    let (manager, dir) = staged_manager("dmdc-service-wire-result");
+    assert_eq!(post(&manager, CELL).0, 200);
+    let payload = jobs::execute(&Context::new(), &manager_spec()).expect("cell simulates clean");
+    manager.complete("job-1", Ok(payload));
+    let (status, result) = get(&manager, "/jobs/job-1/result");
+    assert_eq!(status, 200);
+    check("result-cell.json", &result);
+
+    // A long-poll on a finished job returns the stored payload at once.
+    let started = std::time::Instant::now();
+    let (status, waited) = get(&manager, "/jobs/job-1/result?wait=60000");
+    assert_eq!((status, waited.as_str()), (200, result.as_str()));
+    assert!(
+        started.elapsed() < std::time::Duration::from_secs(5),
+        "a finished job's long-poll must not park"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Every hostile body must come back as a structured `{"error": ...}`
 /// document with a 4xx status — never a panic, never a hang. This is the
 /// fuzz-style sweep over the router; the raw-socket layer below covers
 /// what the router never sees.
 #[test]
 fn hostile_bodies_return_structured_errors() {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("target")
-        .join("dmdc-service-wire-negative");
-    let _ = std::fs::remove_dir_all(&dir);
-    let manager = JobManager::new(&dir, 2).unwrap();
-    manager.set_paused(true);
+    let (manager, dir) = staged_manager("dmdc-service-wire-negative");
 
     let hostile_posts = [
         "",                      // empty body
@@ -214,6 +222,7 @@ fn hostile_bodies_return_structured_errors() {
                 body: String::new(),
             },
             &manager,
+            &Context::new(),
         );
         assert!(
             matches!(status, 404 | 405),
