@@ -70,8 +70,8 @@ pub fn default_cache_dir() -> PathBuf {
 
 /// The default root for `--run-id` run records, `target/dmdc-runs/`
 /// under the current working directory: each run's sealed manifest,
-/// sampled cells' partial-progress envelopes, distributed lease records
-/// and, under `--no-cache`, a run-private cell store.
+/// sampled cells' partial-progress envelopes and, under `--no-cache`, a
+/// run-private cell store. A run without `--run-id` writes nothing here.
 pub fn default_runs_dir() -> PathBuf {
     PathBuf::from("target").join("dmdc-runs")
 }
@@ -261,8 +261,9 @@ pub struct CacheCounters {
     pub quarantined: u64,
 }
 
-/// The sealed-file core both stores (and sampled runs' partial-progress
-/// envelopes) are built on: one directory of `<key>.<ext>` files, each a
+/// The sealed-file core every durable record is built on — both stores,
+/// sampled runs' partial-progress envelopes, and the daemon's job and
+/// result envelopes: one directory of `<key>.<ext>` files, each a
 /// [`seal`]ed body written via tmp + rename, verified before it is
 /// decoded, quarantined to `quarantine/` when damaged or stale, and
 /// counted. Built [in a context](SealedDir::in_context), it also counts
@@ -364,21 +365,40 @@ impl SealedDir {
         loaded
     }
 
-    /// Persists `body` as entry `key`, sealed and via tmp + rename. I/O
-    /// failures are swallowed: a store that cannot write (read-only
-    /// checkout, full disk) costs recomputation later, never a wrong
-    /// result now.
-    pub(crate) fn store(&self, key: u64, body: &str) {
+    /// Persists `body` as entry `key`, sealed and via tmp + rename, and
+    /// says whether it landed. The caches ignore a failure: a store that
+    /// cannot write (read-only checkout, full disk) costs recomputation
+    /// later, never a wrong result now.
+    pub(crate) fn store(&self, key: u64, body: &str) -> bool {
         if std::fs::create_dir_all(&self.dir).is_err() {
-            return;
+            return false;
         }
         let path = self.dir.join(self.name_of(key));
-        if write_sealed(&path, body, tmp_tag(key)) {
-            self.stores.fetch_add(1, Ordering::Relaxed);
-            if let Some(faults) = &self.faults {
-                faults.on_sealed_write(&path);
-            }
+        if !write_sealed(&path, body, tmp_tag(key)) {
+            return false;
         }
+        self.stores.fetch_add(1, Ordering::Relaxed);
+        if let Some(faults) = &self.faults {
+            faults.on_sealed_write(&path);
+        }
+        true
+    }
+
+    /// The keys of every entry, ascending. Temporaries, `quarantine/` and
+    /// names this directory would not write are skipped.
+    pub(crate) fn keys(&self) -> Vec<u64> {
+        let suffix = format!(".{}", self.ext);
+        let mut keys: Vec<u64> = std::fs::read_dir(&self.dir)
+            .into_iter()
+            .flatten()
+            .filter_map(|entry| {
+                let name = entry.ok()?.file_name().into_string().ok()?;
+                let key = u64::from_str_radix(name.strip_suffix(&suffix)?, 16).ok()?;
+                (self.name_of(key) == name).then_some(key)
+            })
+            .collect();
+        keys.sort_unstable();
+        keys
     }
 
     /// Deletes entry `key` (best-effort).

@@ -24,7 +24,7 @@
 //! * **`POST /heartbeat`** — extends the lease; answers `{lost}` once
 //!   the lease has expired under the worker.
 //! * **`POST /complete`** — reports success (the result is already in
-//!   the store; the coordinator *verifies* it unseals before accepting)
+//!   the store; the coordinator *verifies* it loads intact before accepting)
 //!   or a structured failure. Completions from expired lease holders are
 //!   rejected as stale — double publication into a content-addressed
 //!   store is benign, double *accounting* is not.
@@ -45,12 +45,12 @@
 //! reducers consume the same verified [`CellResult`]s in the same order,
 //! wherever they were computed.
 //!
-//! Every lease transition is recorded as a sealed envelope under the run
-//! directory (`<run>/leases/<index>.lease`), the same tamper-evident
-//! format as the stores, so a crashed run leaves an auditable trail of
-//! which worker held what when.
+//! The coordinator keeps its lease table in memory only. The run's crash
+//! record is the cell store: a re-run's pre-sweep marks every cell already
+//! in it done before a single lease is issued. Reclaims and poisonings
+//! reach the context's recovery counters and stderr.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -59,7 +59,7 @@ use std::time::{Duration, Instant};
 use dmdc_ooo::{SampleSpec, SimOptions};
 use dmdc_workloads::{full_suite, Scale};
 
-use crate::cache::{default_fingerprint, seal, workload_digest, CellCache};
+use crate::cache::{default_fingerprint, workload_digest, CellCache};
 use crate::cell::{CellFailure, CellResult, FailureKind};
 use crate::experiments::{parse_config, parse_scale, scale_token, Experiment, Plan, PolicyKind};
 use crate::recovery::{Recovery, RecoveryKind};
@@ -67,6 +67,17 @@ use crate::report::Report;
 use crate::runner::{Context, Engine};
 use crate::service::http;
 use crate::service::json::{self, Json};
+
+/// `eprintln!` in one `write` call. The coordinator and the workers it
+/// spawns share one stderr, and `eprintln!` may split a line over several
+/// writes, so two processes' lines could interleave mid-line.
+macro_rules! log_line {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        let line = format!("{}\n", format_args!($($arg)*));
+        let _ = std::io::stderr().write_all(line.as_bytes());
+    }};
+}
 
 /// Configuration for one distributed run.
 #[derive(Debug, Clone)]
@@ -88,9 +99,6 @@ pub struct DistribOptions {
     /// leases itself and executes serially (the all-workers-lost
     /// degradation path).
     pub grace: Duration,
-    /// Run id for the durable lease records (under
-    /// `target/dmdc-runs/<id>/leases/`); the CLI sets it from `--run-id`.
-    pub run_id: String,
     /// `--inject-faults` spec forwarded verbatim to spawned workers, so
     /// the chaos harness reaches the processes where worker-side faults
     /// (kill-after, dropped heartbeats, stale claims, partial uploads)
@@ -106,7 +114,6 @@ impl Default for DistribOptions {
             lease_ttl: Duration::from_secs(5),
             poison_after: 3,
             grace: Duration::from_secs(10),
-            run_id: "distrib".to_string(),
             worker_faults: None,
         }
     }
@@ -588,7 +595,6 @@ struct Coord {
     /// liveness signal the degradation ladder watches.
     activity: Mutex<Instant>,
     start: Instant,
-    lease_dir: PathBuf,
     /// The run context's recovery counters.
     recovery: Arc<Recovery>,
     /// Set (under the table lock) when the run is over.
@@ -635,48 +641,6 @@ impl Coord {
             .unwrap_or_else(|p| p.into_inner())
             .elapsed()
     }
-
-    /// Durably records one cell's lease record (rendered by
-    /// [`render_lease`] in the critical section of the transition it
-    /// describes) as a sealed envelope — best-effort, like the stores: a
-    /// record that cannot be written costs auditability, never
-    /// correctness.
-    fn record_lease(&self, index: usize, record: &str) {
-        let path = self.lease_dir.join(format!("{index}.lease"));
-        let tmp = self.lease_dir.join(format!("{index}.lease.tmp"));
-        if std::fs::write(&tmp, seal(record)).is_ok() {
-            let _ = std::fs::rename(&tmp, &path);
-        }
-    }
-}
-
-/// The sealed lease-record body (`dmdc-lease v1`) of cell `index`: its
-/// state plus the lost-worker trail for post-mortems.
-fn render_lease(table: &LeaseTable, index: usize) -> String {
-    let mut out = format!("dmdc-lease v1\nindex {index}\n");
-    match table.state(index) {
-        CellState::Ready {
-            attempt,
-            eligible_at,
-        } => out.push_str(&format!(
-            "state ready\nattempt {attempt}\neligible {eligible_at}\n"
-        )),
-        CellState::Leased {
-            worker,
-            attempt,
-            expires_at,
-        } => out.push_str(&format!(
-            "state leased\nworker {worker}\nattempt {attempt}\nexpires {expires_at}\n"
-        )),
-        CellState::Done => out.push_str("state done\n"),
-        CellState::Failed => out.push_str("state failed\n"),
-        CellState::Poisoned => out.push_str("state poisoned\n"),
-    }
-    let lost = table.lost_workers(index).join(",");
-    if !lost.is_empty() {
-        out.push_str(&format!("lost {lost}\n"));
-    }
-    out
 }
 
 /// Maps a [`FailureKind::label`] back to the kind (the complete wire
@@ -717,13 +681,6 @@ pub fn execute_plan_distributed(
     let cache_dir = std::fs::canonicalize(cache.dir())
         .map_err(|e| format!("cannot resolve cache dir {}: {e}", cache.dir().display()))?;
 
-    // Durable lease records live in the run's directory.
-    let lease_dir = crate::cache::default_runs_dir()
-        .join(&opts.run_id)
-        .join("leases");
-    std::fs::create_dir_all(&lease_dir)
-        .map_err(|e| format!("cannot create lease dir {}: {e}", lease_dir.display()))?;
-
     let cfg = LeaseConfig {
         ttl_ms: opts.lease_ttl.as_millis().max(50) as u64,
         poison_after: opts.poison_after.max(1),
@@ -763,7 +720,7 @@ pub fn execute_plan_distributed(
     let listener =
         std::net::TcpListener::bind(&opts.bind).map_err(|e| format!("{}: {e}", opts.bind))?;
     let addr = listener.local_addr().map_err(|e| e.to_string())?;
-    eprintln!(
+    log_line!(
         "[distrib] coordinator listening on {addr} ({} cells, {} already in store)",
         specs.len(),
         specs.len() - table.outstanding()
@@ -778,7 +735,6 @@ pub fn execute_plan_distributed(
         failures: Mutex::new(vec![None; specs.len()]),
         activity: Mutex::new(Instant::now()),
         start: Instant::now(),
-        lease_dir,
         recovery: Arc::clone(&ctx.recovery),
         done: AtomicBool::new(false),
     });
@@ -823,7 +779,7 @@ pub fn execute_plan_distributed(
                     }
                     children.push(child);
                 }
-                Err(e) => eprintln!("[distrib] could not spawn worker w{i}: {e}"),
+                Err(e) => log_line!("[distrib] could not spawn worker w{i}: {e}"),
             }
         }
     }
@@ -837,35 +793,33 @@ pub fn execute_plan_distributed(
     // turns terminal.
     loop {
         let mut table = coord.lock();
-        let reclaims: Vec<(Reclaim, String)> = table
-            .expire(coord.now_ms())
-            .into_iter()
-            .map(|r| {
-                let record = render_lease(&table, r.index);
-                (r, record)
-            })
-            .collect();
+        let reclaims = table.expire(coord.now_ms());
         if !reclaims.is_empty() {
             coord.changed.notify_all();
         }
         let finished = table.all_terminal();
         drop(table);
-        for (r, record) in &reclaims {
+        for r in &reclaims {
             let m = &coord.meta[r.index];
             if r.poisoned {
                 ctx.recovery.record(RecoveryKind::CellPoisoned);
-                eprintln!(
+                log_line!(
                     "[distrib] cell {} ({}) poisoned after worker {} died (attempt {})",
-                    r.index, m.workload, r.worker, r.attempt
+                    r.index,
+                    m.workload,
+                    r.worker,
+                    r.attempt
                 );
             } else {
                 ctx.recovery.record(RecoveryKind::LeaseReclaimed);
-                eprintln!(
+                log_line!(
                     "[distrib] reclaimed cell {} ({}) from worker {} (attempt {})",
-                    r.index, m.workload, r.worker, r.attempt
+                    r.index,
+                    m.workload,
+                    r.worker,
+                    r.attempt
                 );
             }
-            coord.record_lease(r.index, record);
         }
         if finished {
             break;
@@ -875,7 +829,7 @@ pub fn execute_plan_distributed(
         children.retain_mut(|c| match c.try_wait() {
             Ok(Some(status)) => {
                 if !status.success() {
-                    eprintln!("[distrib] worker exited with {status}");
+                    log_line!("[distrib] worker exited with {status}");
                 }
                 false
             }
@@ -888,9 +842,10 @@ pub fn execute_plan_distributed(
             let claim = coord.lock().claim("coordinator", coord.now_ms());
             if let Claim::Lease { index, .. } = claim {
                 let m = &coord.meta[index];
-                eprintln!(
+                log_line!(
                     "[distrib] fleet quiet for {:?}; running cell {index} ({}) locally",
-                    opts.grace, m.workload
+                    opts.grace,
+                    m.workload
                 );
                 let outcome = engine.try_run_cell(&specs[index]);
                 let mut table = coord.lock();
@@ -906,9 +861,6 @@ pub fn execute_plan_distributed(
                     }
                 }
                 coord.changed.notify_all();
-                let record = render_lease(&table, index);
-                drop(table);
-                coord.record_lease(index, &record);
                 continue;
             }
         }
@@ -934,7 +886,7 @@ pub fn execute_plan_distributed(
     };
     for mut child in children {
         if !all_closed && matches!(child.try_wait(), Ok(None)) {
-            eprintln!(
+            log_line!(
                 "[distrib] worker pid {} still running {LONG_POLL_MAX:?} after the run ended; killing it",
                 child.id()
             );
@@ -1000,7 +952,7 @@ pub fn execute_plan_distributed(
         }
     }
     let recovered = ctx.recovery();
-    eprintln!(
+    log_line!(
         "[distrib] run complete: {} cells, {} failures, {} reclaims, {} poisoned",
         specs.len(),
         failures.len(),
@@ -1116,18 +1068,13 @@ fn handle_claim(body: &str, coord: &Coord) -> (u16, String) {
             index,
             attempt,
             ttl_ms,
-        } => {
-            let record = render_lease(&table, index);
-            drop(table);
-            coord.record_lease(index, &record);
-            (
-                200,
-                format!(
-                    "{{\"lease\": {{\"index\": {index}, \"attempt\": {attempt}, \
-                     \"ttl_ms\": {ttl_ms}}}}}\n"
-                ),
-            )
-        }
+        } => (
+            200,
+            format!(
+                "{{\"lease\": {{\"index\": {index}, \"attempt\": {attempt}, \
+                 \"ttl_ms\": {ttl_ms}}}}}\n"
+            ),
+        ),
         Claim::Wait { retry_ms } => (200, format!("{{\"wait\": {retry_ms}}}\n")),
         Claim::Done => (200, "{\"done\": true}\n".to_string()),
     }
@@ -1173,8 +1120,8 @@ fn handle_complete(body: &str, coord: &Coord) -> (u16, String) {
     let now = coord.now_ms();
     let m = &coord.meta[index];
 
-    // Trust nothing: a reported success must actually unseal from the
-    // shared store before the lease is retired. A partial upload reads as
+    // Trust nothing: a reported success must actually load intact from
+    // the shared store before the lease is retired. A partial upload reads as
     // a missing/corrupt entry and re-issues the lease. The store is read
     // before the table lock is taken.
     let verified = ok && coord.cache.load(m.key, &m.workload).is_some();
@@ -1202,17 +1149,15 @@ fn handle_complete(body: &str, coord: &Coord) -> (u16, String) {
         (recorded, false)
     };
     coord.changed.notify_all();
-    let record = render_lease(&table, index);
     drop(table);
     if reissued {
         coord.recovery.record(RecoveryKind::LeaseReclaimed);
-        eprintln!(
+        log_line!(
             "[distrib] cell {index} ({}): result from {worker} failed \
              verification; lease re-issued",
             m.workload
         );
     }
-    coord.record_lease(index, &record);
     (200, format!("{{\"accepted\": {accepted}}}\n"))
 }
 
@@ -1253,9 +1198,9 @@ pub fn run_worker(ctx: &Context, addr: &str, id: &str) -> Result<(), String> {
     // The descriptor carries the sampling mode into every spec.
     let plan = desc.plan()?;
     let specs = plan.specs();
-    let ctx = ctx.clone().with_cell_cache(Path::new(cache_dir));
+    let ctx = ctx.clone().with_store(Path::new(cache_dir));
     let engine = Engine::new(&ctx, &plan.workloads);
-    eprintln!(
+    log_line!(
         "[worker {id}] joined {addr}: {} cells, store at {cache_dir}",
         specs.len()
     );
@@ -1269,7 +1214,7 @@ pub fn run_worker(ctx: &Context, addr: &str, id: &str) -> Result<(), String> {
         }
         let doc = json::parse(&reply).map_err(|e| format!("bad /claim reply: {e}"))?;
         if doc.get("done").and_then(Json::as_bool) == Some(true) {
-            eprintln!("[worker {id}] coordinator reports done; exiting");
+            log_line!("[worker {id}] coordinator reports done; exiting");
             return Ok(());
         }
         // The coordinator already long-polled before answering `{wait}`:
@@ -1291,7 +1236,7 @@ pub fn run_worker(ctx: &Context, addr: &str, id: &str) -> Result<(), String> {
         // TTL before doing any work, so the cell is re-issued while this
         // worker still intends to finish it.
         if let Some(ms) = ctx.faults.as_ref().and_then(|f| f.take_stale_claim_ms()) {
-            eprintln!("[worker {id}] injected stale-claim: sleeping {ms} ms on cell {index}");
+            log_line!("[worker {id}] injected stale-claim: sleeping {ms} ms on cell {index}");
             std::thread::sleep(Duration::from_millis(ms));
         }
 
@@ -1314,7 +1259,7 @@ pub fn run_worker(ctx: &Context, addr: &str, id: &str) -> Result<(), String> {
                 while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
                     match http::request(&addr, "POST", "/heartbeat", Some(&body)) {
                         Ok((200, reply)) if reply.contains("\"lost\"") => {
-                            eprintln!(
+                            log_line!(
                                 "[worker {id}] lease on cell {index} expired under us; \
                                  finishing anyway (publication is idempotent)"
                             );
@@ -1370,13 +1315,14 @@ pub fn run_worker(ctx: &Context, addr: &str, id: &str) -> Result<(), String> {
             .and_then(|d| d.get("accepted").and_then(Json::as_bool))
             .unwrap_or(false);
         match &outcome {
-            Ok(_) => eprintln!(
+            Ok(_) => log_line!(
                 "[worker {id}] cell {index} published ({})",
                 if accepted { "accepted" } else { "stale" }
             ),
-            Err(f) => eprintln!(
+            Err(f) => log_line!(
                 "[worker {id}] cell {index} failed: [{}] {}",
-                f.kind, f.detail
+                f.kind,
+                f.detail
             ),
         }
     }
@@ -1503,7 +1449,6 @@ mod tests {
     #[test]
     fn parked_claim_wakes_when_the_run_ends() {
         let dir = std::env::temp_dir().join(format!("dmdc-distrib-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
         let mut table = LeaseTable::new(2, cfg(600_000, 3));
         table.mark_done(1);
         assert!(matches!(table.claim("a", 0), Claim::Lease { index: 0, .. }));
@@ -1523,7 +1468,6 @@ mod tests {
             failures: Mutex::new(vec![None, None]),
             activity: Mutex::new(Instant::now()),
             start: Instant::now(),
-            lease_dir: dir.clone(),
             recovery: Arc::default(),
             done: AtomicBool::new(false),
         });
@@ -1556,14 +1500,8 @@ mod tests {
         );
         parked.join().unwrap();
 
-        // The envelope records the transition that produced it.
-        let record = std::fs::read_to_string(dir.join("0.lease")).unwrap();
-        assert!(
-            crate::cache::unseal(&record)
-                .unwrap()
-                .contains("state failed\n"),
-            "{record}"
-        );
+        // The table holds the transition that ended the run.
+        assert_eq!(*coord.lock().state(0), CellState::Failed);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

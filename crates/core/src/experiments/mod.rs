@@ -3,7 +3,7 @@
 //! Every paper artifact (Figs. 2–5, Tables 2–6, the ablations) is an
 //! [`Experiment`]: a registry entry that *plans* a flat matrix of
 //! independent [`RunSpec`] cells at a [`Scale`], has them *run* by the
-//! parallel [`Engine`](crate::runner::Engine) — which verifies each cell
+//! parallel [`Engine`] — which verifies each cell
 //! against the functional emulator and serves unchanged cells from the
 //! persistent content-addressed [cell cache](crate::cache) — and then
 //! *reduces* the uniform [`CellResult`] records to a typed table,
@@ -524,7 +524,7 @@ pub(crate) fn execute_exact(
 /// emulator — a standalone caller has nowhere to surface a structured
 /// failure, so this stays fatal. The engine's
 /// [`try_run_cell`](crate::runner::Engine::try_run_cell) path returns the
-/// same condition as a [`CellFailure`](crate::cell::CellFailure) instead.
+/// same condition as a [`CellFailure`] instead.
 pub fn run_workload(
     workload: &Workload,
     config: &CoreConfig,

@@ -13,8 +13,9 @@
 //!   retry demonstrably recovers it;
 //! * **durable-write faults** — [`FaultPlan::on_sealed_write`] runs after every
 //!   sealed record write (cell store, checkpoint store, partial-progress
-//!   envelope). `corrupt=N` flips a byte in every Nth write, simulating
-//!   bit rot the next lookup must quarantine; `truncate=N` (alias
+//!   envelope, the daemon's job and result envelopes). `corrupt=N` flips
+//!   a byte in every Nth write, simulating bit rot the next lookup must
+//!   quarantine; `truncate=N` (alias
 //!   `partial-upload=N`) cuts every Nth write in half, a crash landing
 //!   mid-entry or a result upload dying midway; `kill-after=N` calls
 //!   [`std::process::abort`] after N writes, a reproducible stand-in for
@@ -158,8 +159,9 @@ impl FaultPlan {
         }
     }
 
-    /// Hook: a sealed record (cell store, checkpoint store or
-    /// partial-progress envelope) was just renamed into place. Writes are
+    /// Hook: a sealed record (cell store, checkpoint store,
+    /// partial-progress envelope, or the daemon's job or result envelope)
+    /// was just renamed into place. Writes are
     /// counted from 0; with `corrupt=N` write `n` gets its last byte
     /// flipped when `(n + seed) % N == 0`, preserving length (a
     /// checksum-mismatch quarantine, not a truncation); with `truncate=N`

@@ -22,8 +22,9 @@
 //! [`cell`] (the unified per-run metrics record) and [`report`] (tables
 //! and the text/JSON/CSV emitters) underneath. [`service`] wraps the
 //! whole registry in a long-running HTTP/JSON daemon (`dmdc serve`) with
-//! a priority [`queue`], job-level coalescing of identical submissions,
-//! and cell sharing across jobs through the [`cache`].
+//! a durable priority queue ([`service::jobs::JobManager`]), job-level
+//! coalescing of identical submissions, and cell sharing across jobs
+//! through the [`cache`].
 //!
 //! # Examples
 //!
@@ -49,7 +50,6 @@ mod dmdc;
 pub mod experiments;
 pub mod faults;
 pub mod fuzz;
-pub mod queue;
 pub mod recovery;
 pub mod report;
 pub mod runner;

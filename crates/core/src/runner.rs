@@ -200,8 +200,7 @@ impl Context {
     }
 
     /// Installs a cell cache at `dir` and no checkpoint store: the
-    /// daemon's state-dir cache, a run-private store under `--no-cache`,
-    /// a worker's shared store.
+    /// run-private store of a `--no-cache --run-id` run.
     pub fn with_cell_cache(mut self, dir: impl Into<PathBuf>) -> Context {
         self.cache = Some(Arc::new(CellCache(CellCache::new(dir).0.in_context(&self))));
         self

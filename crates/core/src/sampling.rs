@@ -18,7 +18,7 @@
 //! 5. **reduces** the per-window deltas into population-scaled counters
 //!    plus mean ± 95% confidence intervals (Student-t over the window
 //!    means) for the headline rates, carried in
-//!    [`SamplingStats`](dmdc_ooo::SamplingStats).
+//!    [`SamplingStats`].
 //!
 //! A sampled cell runs under its [`Context`]: the context's checkpoint
 //! store, run directory, in-process checkpoint memo, profile sink and

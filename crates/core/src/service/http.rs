@@ -8,7 +8,7 @@
 //! the blocking [`request`] helper the `dmdc submit`/`status`/`metrics`
 //! client subcommands and the black-box test harness use, so both ends
 //! of the wire are pinned by the same code, and the blocking
-//! [`accept_loop`] both servers (the daemon and the `--distrib`
+//! `accept_loop` both servers (the daemon and the `--distrib`
 //! coordinator) run.
 
 use std::io::{Read, Write};

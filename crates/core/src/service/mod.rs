@@ -85,7 +85,9 @@ fn trigger_shutdown(wake: SocketAddr) {
 pub struct ServeOptions {
     /// Bind address; port 0 picks an ephemeral port (printed at boot).
     pub addr: String,
-    /// Root for durable state: `jobs/`, `results/` and the cell `cache/`.
+    /// Root for durable state: sealed `jobs/<016x>.job` and
+    /// `results/<016x>.result` envelopes keyed by job number, and the
+    /// `cache/` holding the cell store and its `checkpoints/`.
     pub state_dir: PathBuf,
     /// Per-client in-flight (queued + running) job limit.
     pub quota: usize,
@@ -158,10 +160,11 @@ fn handle_shutdown_signals(_wake: SocketAddr) -> Result<(), String> {
 }
 
 /// Runs the daemon until a graceful shutdown completes. Every job runs
-/// under `ctx` (the CLI gives it the cell cache at `state_dir/cache`);
-/// recovers any unfinished jobs from a previous life, prints the bound
-/// address, and serves until SIGTERM/SIGINT or `POST /shutdown` drains
-/// the queue.
+/// under `ctx` (the CLI gives it the cell cache and checkpoint store at
+/// `state_dir/cache`), and the job state is built in it, so its fault
+/// plan reaches the job and result writes too. Recovers any unfinished
+/// jobs from a previous life, prints the bound address, and serves until
+/// SIGTERM/SIGINT or `POST /shutdown` drains the queue.
 pub fn serve(ctx: &Context, opts: &ServeOptions) -> Result<(), String> {
     SHUTDOWN.store(false, Ordering::SeqCst);
     let listener = TcpListener::bind(&opts.addr).map_err(|e| format!("{}: {e}", opts.addr))?;
@@ -169,7 +172,7 @@ pub fn serve(ctx: &Context, opts: &ServeOptions) -> Result<(), String> {
     let wake = http::wake_addr(addr);
     handle_shutdown_signals(wake)?;
 
-    let manager = Arc::new(JobManager::new(&opts.state_dir, opts.quota)?);
+    let manager = Arc::new(JobManager::new(ctx, &opts.state_dir, opts.quota)?);
     manager.set_paused(opts.paused);
     let recovered = manager.recover();
 
@@ -435,7 +438,7 @@ mod tests {
             .join("../../target")
             .join(format!("dmdc-serve-test-{tag}"));
         let _ = std::fs::remove_dir_all(&dir);
-        (JobManager::new(&dir, 4).unwrap(), dir)
+        (JobManager::new(&Context::new(), &dir, 4).unwrap(), dir)
     }
 
     fn post_jobs(manager: &JobManager, body: &str) -> (u16, String) {

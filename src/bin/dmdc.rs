@@ -182,8 +182,8 @@ aggregated over all runs, printed to stderr so stdout stays
 byte-identical).
 
 Distributed execution: `--distrib` shards a suite or experiment across a
-lease-based worker fleet. The coordinator publishes the cell list as
-durable sealed lease records, spawns --workers local `dmdc worker`
+lease-based worker fleet. The coordinator holds the cell list as an
+in-memory lease table, spawns --workers local `dmdc worker`
 processes (0 with external workers attaching at the printed --bind
 address), and workers claim leases over HTTP, execute cells through the
 ordinary engine, publish into the shared content-addressed cache and
@@ -500,9 +500,6 @@ fn parse_distrib(flags: &Flags) -> Result<Option<DistribOptions>, String> {
     };
     if let Some(bind) = flags.get("bind") {
         opts.bind = bind.clone();
-    }
-    if let Some(id) = flags.get("run-id") {
-        opts.run_id = id.clone();
     }
     opts.worker_faults = flags.get("inject-faults").cloned();
     Ok(Some(opts))
@@ -994,7 +991,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         }
     }
     opts.paused = flags.contains_key("paused");
-    service::serve(&ctx.with_cell_cache(opts.state_dir.join("cache")), &opts)
+    service::serve(&ctx.with_store(opts.state_dir.join("cache")), &opts)
 }
 
 /// The daemon address for the client subcommands: `--addr`, else the

@@ -3,8 +3,9 @@
 //! the service contract — submit/poll/fetch, coalescing of identical
 //! submissions onto one job, cell sharing across distinct jobs through
 //! the cache, structured quota rejection, graceful drain on
-//! `POST /shutdown` and on SIGTERM, and kill-9-then-restart recovery
-//! with byte-identical results. Nothing here sleeps to synchronise:
+//! `POST /shutdown` and on SIGTERM, restart recovery with byte-identical
+//! results from every crash point and from a damaged result, and
+//! checkpoints shared across daemon lives. Nothing here sleeps to synchronise:
 //! results are long-polled and exits are awaited on a channel.
 
 use std::io::BufRead;
@@ -337,20 +338,26 @@ fn over_quota_submission_is_a_structured_429() {
     assert!(daemon.shutdown());
 }
 
-#[test]
-fn kill9_then_restart_resumes_jobs_byte_identically() {
-    // Reference: an undisturbed daemon runs three jobs to completion.
-    let ref_state = state_dir("dmdc-service-restart-ref");
-    let reference = Daemon::boot(&ref_state, &[]);
-    let jobs = [("histo", "10"), ("saxpy", "200"), ("crc", "100")];
-    for (workload, priority) in jobs {
-        let body = format!(
-            "{{\"kind\": \"cell\", \"workload\": \"{workload}\", \"policy\": \"baseline\", \
-             \"scale\": \"smoke\", \"client\": \"r\", \"priority\": {priority}}}"
+/// The three jobs of the restart tests: dispatch order job-2, job-3, job-1.
+const RESTART_JOBS: [(&str, &str); 3] = [("histo", "10"), ("saxpy", "200"), ("crc", "100")];
+
+fn restart_body(workload: &str, priority: &str) -> String {
+    format!(
+        "{{\"kind\": \"cell\", \"workload\": \"{workload}\", \"policy\": \"baseline\", \
+         \"scale\": \"smoke\", \"client\": \"r\", \"priority\": {priority}}}"
+    )
+}
+
+/// An undisturbed daemon's result bytes for `RESTART_JOBS`, by job id.
+fn restart_reference() -> Vec<String> {
+    let reference = Daemon::boot(&state_dir("dmdc-service-restart-ref"), &[]);
+    for (workload, priority) in RESTART_JOBS {
+        assert_eq!(
+            reference.post("/jobs", &restart_body(workload, priority)).0,
+            200
         );
-        assert_eq!(reference.post("/jobs", &body).0, 200);
     }
-    let expected: Vec<String> = (1..=3)
+    let expected = (1..=3)
         .map(|i| {
             let (status, payload) = reference.await_result(&format!("job-{i}"));
             assert_eq!(status, 200, "{payload}");
@@ -358,42 +365,147 @@ fn kill9_then_restart_resumes_jobs_byte_identically() {
         })
         .collect();
     assert!(reference.shutdown());
+    expected
+}
 
-    // Victim: same three submissions land in a paused queue, then the
-    // daemon dies hard — SIGKILL, no drain, no cleanup.
-    let state = state_dir("dmdc-service-restart");
-    let victim = Daemon::boot(&state, &["--paused"]);
-    for (workload, priority) in jobs {
-        let body = format!(
-            "{{\"kind\": \"cell\", \"workload\": \"{workload}\", \"policy\": \"baseline\", \
-             \"scale\": \"smoke\", \"client\": \"r\", \"priority\": {priority}}}"
+/// The ids a daemon tracks, from `GET /jobs`.
+fn listed_jobs(daemon: &Daemon) -> Vec<String> {
+    let (status, body) = daemon.get("/jobs");
+    assert_eq!(status, 200, "{body}");
+    json::parse(&body)
+        .unwrap()
+        .get("jobs")
+        .unwrap()
+        .as_array()
+        .unwrap()
+        .iter()
+        .map(|job| job.get("id").unwrap().as_str().unwrap().to_string())
+        .collect()
+}
+
+#[test]
+fn kill9_then_restart_resumes_jobs_byte_identically() {
+    let expected = restart_reference();
+
+    // Every durable write of a paused daemon that takes the three jobs
+    // and then runs them is a crash point: three job envelopes, then per
+    // job (in dispatch order) one cell and one result. `kill-after=k`
+    // aborts — SIGKILL's reproducible stand-in — right after the kth.
+    // Each crash is followed by a restart without faults; the first k
+    // the daemon survives is W + 1.
+    let mut k: usize = 1;
+    let writes = loop {
+        assert!(k <= 20, "the daemon died at every write count up to 20");
+        let state = state_dir(&format!("dmdc-service-restart-{k}"));
+        let kill = format!("kill-after={k}");
+        let victim = Daemon::boot(&state, &["--paused", "--inject-faults", &kill]);
+        let mut acked = 0;
+        for (workload, priority) in RESTART_JOBS {
+            let body = restart_body(workload, priority);
+            match http::request(&victim.addr, "POST", "/jobs", Some(&body)) {
+                Ok((status, reply)) => {
+                    assert_eq!(status, 200, "k={k}: {reply}");
+                    acked += 1;
+                }
+                // The daemon died persisting this job.
+                Err(_) => break,
+            }
+        }
+        let mut survived = false;
+        if acked == 3 {
+            assert_eq!(victim.post("/queue/resume", "").0, 200);
+            // Poll in dispatch order; a dropped long-poll means the
+            // daemon died before that job finished.
+            survived = ["job-2", "job-3", "job-1"].iter().all(|id| {
+                http::request(
+                    &victim.addr,
+                    "GET",
+                    &format!("/jobs/{id}/result?wait=60000"),
+                    None,
+                )
+                .is_ok_and(|(status, _)| status == 200)
+            });
+        }
+        if survived {
+            assert!(victim.shutdown());
+            break k - 1;
+        }
+        drop(victim);
+
+        // Restart over the same state dir: every job the first life acked
+        // or persisted is back, the unfinished ones re-run, and every one
+        // ends with the reference bytes under its id.
+        let persisted = k.min(3);
+        assert_eq!(acked, (k - 1).min(3), "k={k}: acked jobs");
+        let revived = Daemon::boot(&state, &[]);
+        let ids: Vec<String> = (1..=persisted).map(|i| format!("job-{i}")).collect();
+        assert_eq!(listed_jobs(&revived), ids, "k={k}: recovered job table");
+        let finished = k.saturating_sub(3) / 2;
+        let (_, metrics) = revived.get("/metrics");
+        let doc = json::parse(&metrics).unwrap();
+        assert_eq!(
+            metric(&doc, "jobs", "recovered"),
+            (persisted - finished) as u64,
+            "k={k}: {metrics}"
         );
-        assert_eq!(victim.post("/jobs", &body).0, 200);
-    }
-    drop(victim); // kill -9
+        for (id, expected) in ids.iter().zip(&expected) {
+            let (status, payload) = revived.await_result(id);
+            assert_eq!(status, 200, "k={k}: {payload}");
+            assert_eq!(
+                &payload, expected,
+                "k={k}: {id} must reproduce the reference bytes"
+            );
+        }
+        // New submissions continue the id sequence past the recovered jobs.
+        let (status, reply) = revived.post("/jobs", &cell_body("mm", "r"));
+        assert_eq!(status, 200, "{reply}");
+        let doc = json::parse(&reply).unwrap();
+        let next = format!("job-{}", persisted + 1);
+        assert_eq!(
+            doc.get("id").unwrap().as_str(),
+            Some(next.as_str()),
+            "k={k}"
+        );
+        assert!(revived.shutdown());
+        k += 1;
+    };
+    assert_eq!(writes, 9, "three job envelopes, three cells, three results");
+}
 
-    // Restart over the same state dir: the queue comes back and every
-    // job completes with bytes identical to the undisturbed run.
+#[test]
+fn corrupt_result_is_quarantined_and_the_job_reruns() {
+    let expected = restart_reference();
+
+    // Writes count from 0, and `corrupt=100` with seed 96 flips a byte
+    // in write 4 only: job-2's result, the first job to run.
+    let state = state_dir("dmdc-service-corrupt-result");
+    let first = Daemon::boot(
+        &state,
+        &["--paused", "--inject-faults", "seed=96,corrupt=100"],
+    );
+    for (workload, priority) in RESTART_JOBS {
+        assert_eq!(
+            first.post("/jobs", &restart_body(workload, priority)).0,
+            200
+        );
+    }
+    assert_eq!(first.post("/queue/resume", "").0, 200);
+    // job-1 runs last; job-2's damaged result is not read in this life.
+    assert_eq!(first.await_result("job-1"), (200, expected[0].clone()));
+    assert!(first.shutdown());
+
     let revived = Daemon::boot(&state, &[]);
     let (_, metrics) = revived.get("/metrics");
     let doc = json::parse(&metrics).unwrap();
-    assert_eq!(metric(&doc, "jobs", "recovered"), 3);
+    assert_eq!(metric(&doc, "jobs", "recovered"), 1, "{metrics}");
     for (i, expected) in expected.iter().enumerate() {
         let id = format!("job-{}", i + 1);
-        let (status, payload) = revived.await_result(&id);
-        assert_eq!(status, 200, "{payload}");
-        assert_eq!(
-            &payload, expected,
-            "{id} must reproduce the reference bytes"
-        );
+        assert_eq!(revived.await_result(&id), (200, expected.clone()), "{id}");
     }
-
-    // New submissions continue the id sequence past the recovered jobs.
-    let (status, reply) = revived.post("/jobs", &cell_body("mm", "r"));
-    assert_eq!(status, 200);
-    let doc = json::parse(&reply).unwrap();
-    assert_eq!(doc.get("id").unwrap().as_str(), Some("job-4"));
-
+    let quarantined = std::fs::read_dir(state.join("results").join("quarantine"))
+        .map(|entries| entries.count())
+        .unwrap_or(0);
+    assert_eq!(quarantined, 1, "the damaged result is kept for inspection");
     assert!(revived.shutdown());
 }
 
@@ -420,9 +532,63 @@ fn graceful_drain_finishes_queued_jobs_before_exit() {
             daemon.shutdown()
         };
         assert!(clean, "drain exits cleanly (by SIGTERM: {by_signal})");
+        // A paused daemon over the same state dir serves both results and
+        // has nothing left to re-run.
+        let next = Daemon::boot(&state, &["--paused"]);
         for id in ["job-1", "job-2"] {
-            let path = state.join("results").join(format!("{id}.result"));
-            assert!(path.is_file(), "{id} result persisted during drain");
+            let (status, payload) = next.get(&format!("/jobs/{id}/result"));
+            assert_eq!(status, 200, "{id} result persisted during drain: {payload}");
+        }
+        let (_, metrics) = next.get("/metrics");
+        let doc = json::parse(&metrics).unwrap();
+        assert_eq!(metric(&doc, "jobs", "recovered"), 0, "{metrics}");
+        assert!(next.shutdown());
+    }
+}
+
+#[test]
+fn sampled_jobs_share_checkpoints_across_daemon_lives() {
+    // The daemon's context carries the checkpoint store under
+    // `<state-dir>/cache/checkpoints/`. Checkpoint keys leave the policy
+    // out, so after a restart the same sampled cell under another policy
+    // restores every window instead of fast-forwarding again.
+    let state = state_dir("dmdc-service-checkpoints");
+    let checkpoints = || {
+        std::fs::read_dir(state.join("cache").join("checkpoints"))
+            .map(|entries| {
+                entries
+                    .flatten()
+                    .filter(|e| e.path().extension().is_some_and(|x| x == "ckpt"))
+                    .count()
+            })
+            .unwrap_or(0)
+    };
+    let job = |policy: &str| {
+        format!(
+            "{{\"kind\": \"cell\", \"workload\": \"histo\", \"policy\": \"{policy}\", \
+             \"scale\": \"default\", \"sampled\": true}}"
+        )
+    };
+    let mut stored = 0;
+    for policy in ["dmdc-global", "baseline"] {
+        let daemon = Daemon::boot(&state, &[]);
+        let (status, reply) = daemon.post("/jobs", &job(policy));
+        assert_eq!(status, 200, "{reply}");
+        let id = json::parse(&reply)
+            .unwrap()
+            .get("id")
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .to_string();
+        let (status, payload) = daemon.await_result(&id);
+        assert_eq!(status, 200, "{payload}");
+        assert!(daemon.shutdown());
+        if stored == 0 {
+            stored = checkpoints();
+            assert!(stored > 0, "the first sampled job persists its checkpoints");
+        } else {
+            assert_eq!(checkpoints(), stored, "the second life adds no checkpoint");
         }
     }
 }

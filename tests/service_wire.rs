@@ -77,7 +77,7 @@ fn staged_manager(name: &str) -> (JobManager, PathBuf) {
         .join("target")
         .join(name);
     let _ = std::fs::remove_dir_all(&dir);
-    let manager = JobManager::new(&dir, 2).unwrap();
+    let manager = JobManager::new(&Context::new(), &dir, 2).unwrap();
     manager.set_paused(true);
     (manager, dir)
 }
