@@ -19,7 +19,7 @@
 //!   segments. Editing one byte of one kernel invalidates exactly that
 //!   kernel's cells.
 //! * **RunSpec description** — the `Debug` rendering of the cell's
-//!   [`CoreConfig`](dmdc_ooo::CoreConfig),
+//!   [`CoreConfig`],
 //!   [`PolicyKind`](crate::experiments::PolicyKind) and
 //!   [`SimOptions`](dmdc_ooo::SimOptions), which spells out every field
 //!   value; any config/policy/option change moves the key.
@@ -42,6 +42,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dmdc_isa::encode;
+use dmdc_ooo::CoreConfig;
 use dmdc_workloads::Workload;
 
 use crate::cell::CellResult;
@@ -475,9 +476,11 @@ impl CellCache {
     }
 }
 
-/// Format-version line of a persisted sampling checkpoint body. Bumping
-/// it quarantines every previously stored checkpoint at once.
-const CKPT_MAGIC: &str = "dmdc-ckpt v1";
+/// Format-version line of a persisted sampling checkpoint body. It is
+/// also hashed into every key, so bumping it turns every previously
+/// stored checkpoint into a plain miss: an old file is never read, so it
+/// is never quarantined either.
+const CKPT_MAGIC: &str = "dmdc-ckpt v2";
 
 /// A content-addressed, persistent store of sampling [`Checkpoint`]s —
 /// the warm-run counterpart of [`CellCache`].
@@ -491,7 +494,7 @@ const CKPT_MAGIC: &str = "dmdc-ckpt v1";
 /// pre-rendered as `sample_desc`) plus the window index:
 ///
 /// ```text
-/// key = fnv64( fingerprint ‖ workload digest ‖ sample_desc ‖ window )
+/// key = fnv64( fingerprint ‖ workload digest ‖ format version ‖ sample_desc ‖ window )
 /// ```
 ///
 /// Excluding the policy from the key is what makes checkpoints shareable:
@@ -531,22 +534,32 @@ impl CheckpointStore {
 
     /// The key for one window's checkpoint. `sample_desc` must render
     /// every input the checkpoint depends on besides the program: core
-    /// config, sampling spec, population and warming horizon.
+    /// config, sampling spec, population and warming horizon. The body
+    /// format's version is part of the key, so a store written in an
+    /// older format reads as misses.
     pub fn key(&self, workload_digest: u64, sample_desc: &str, window: u32) -> u64 {
         self.0
             .hasher(workload_digest)
+            .write(CKPT_MAGIC.as_bytes())
             .write(sample_desc.as_bytes())
             .write_u64(window as u64)
             .finish()
     }
 
-    /// Looks up window `window`'s checkpoint. Damaged or stale entries
-    /// (wrong magic, wrong workload, undecodable body, window mismatch)
-    /// are quarantined and degrade to misses, so the fast-forward simply
+    /// Looks up window `window`'s checkpoint for a run under `config`.
+    /// Damaged or stale entries (wrong magic, wrong workload, undecodable
+    /// body, warm state that does not fit `config`, window mismatch) are
+    /// quarantined and degrade to misses, so the fast-forward simply
     /// re-runs.
-    pub fn load(&self, key: u64, expected_workload: &str, window: u32) -> Option<Checkpoint> {
+    pub fn load(
+        &self,
+        key: u64,
+        expected_workload: &str,
+        window: u32,
+        config: &CoreConfig,
+    ) -> Option<Checkpoint> {
         self.0.load(key, |body| {
-            decode_checkpoint_body(body, expected_workload, window)
+            decode_checkpoint_body(body, expected_workload, window, config)
         })
     }
 
@@ -565,7 +578,12 @@ impl CheckpointStore {
 /// Parses a stored checkpoint body: magic line, `workload <name>` guard,
 /// then [`Checkpoint::encode`] output, with the window index required to
 /// match and no trailing lines tolerated.
-fn decode_checkpoint_body(body: &str, expected_workload: &str, window: u32) -> Option<Checkpoint> {
+fn decode_checkpoint_body(
+    body: &str,
+    expected_workload: &str,
+    window: u32,
+    config: &CoreConfig,
+) -> Option<Checkpoint> {
     let mut lines = body.lines();
     if lines.next()? != CKPT_MAGIC {
         return None;
@@ -573,7 +591,7 @@ fn decode_checkpoint_body(body: &str, expected_workload: &str, window: u32) -> O
     if lines.next()?.strip_prefix("workload ")? != expected_workload {
         return None;
     }
-    let ck = Checkpoint::decode(&mut lines)?;
+    let ck = Checkpoint::decode(&mut lines, config)?;
     if ck.window != window || lines.next().is_some() {
         return None;
     }
@@ -625,6 +643,30 @@ mod tests {
             Err(IntegrityError::Version)
         );
         assert_eq!(unseal(""), Err(IntegrityError::Header));
+    }
+
+    #[test]
+    fn checkpoint_keys_carry_the_format_version() {
+        let root =
+            Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/dmdc-ckpt-version-unit-test");
+        let _ = std::fs::remove_dir_all(&root);
+        let store = CheckpointStore::with_fingerprint(&root, "fp");
+        // The v1 key: fingerprint, workload digest, description, window.
+        let v1 = store.0.hasher(7).write(b"desc").write_u64(3).finish();
+        let key = store.key(7, "desc", 3);
+        assert_ne!(v1, key, "the format version moves the key");
+        // A v1 store is never consulted: its files read as plain misses,
+        // not as corrupt v2 entries to quarantine.
+        assert!(store
+            .0
+            .store(v1, "dmdc-ckpt v1\nworkload histo\nwindow 3\n"));
+        assert!(store
+            .load(key, "histo", 3, &CoreConfig::config2())
+            .is_none());
+        let c = store.counters();
+        assert_eq!((c.misses, c.corrupt, c.quarantined), (1, 0, 0));
+        assert_eq!(store.0.keys(), vec![v1], "the v1 file is left alone");
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

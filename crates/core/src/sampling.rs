@@ -39,7 +39,17 @@
 //! [`CheckpointStore`](crate::cache::CheckpointStore): keyed on
 //! everything the checkpoint depends on *except* the policy (which the
 //! detailed windows rebuild from scratch), so policies share checkpoints
-//! within a cold run and a warm run fast-forwards nothing at all.
+//! within a cold run and a warm run fast-forwards nothing at all. A hit
+//! does not rebuild the master emulator: only a window that misses, and
+//! so must fast-forward, restores the master from the last hit first.
+//!
+//! A checkpoint holds its warm state as [`WordRuns`] — equal-word runs,
+//! on disk (`w` or `w*n`, inside the seal) and in memory alike — and
+//! expands a table only when a window restores it, after checking the
+//! runs add up to the config's geometry. Most warm state is empty (an
+//! invalid L2 line is a `u64::MAX` tag and a `0` stamp), so a checkpoint
+//! is tens of kilobytes instead of hundreds, and the memo holds
+//! checkpoints at that size.
 //!
 //! Determinism contract: the master fast-forward, the window placement,
 //! the warming rules and the window simulations are all pure functions of
@@ -55,8 +65,8 @@ use std::time::Instant;
 
 use dmdc_isa::{BlockCode, Emulator, Inst, Program, Retired, SilentObserver, SparseMemory};
 use dmdc_ooo::{
-    to_q32, BranchPredictor, Btb, CoreConfig, MemoryHierarchy, SampleSpec, SamplingStats, SimError,
-    SimOptions, SimStats, Simulator,
+    to_q32, BranchPredictor, Btb, CacheConfig, CoreConfig, MemoryHierarchy, SampleSpec,
+    SamplingStats, SimError, SimOptions, SimStats, Simulator,
 };
 use dmdc_types::Addr;
 use dmdc_workloads::{Scale, Workload};
@@ -68,7 +78,7 @@ use crate::recovery::RecoveryKind;
 use crate::runner::{Context, SamplingSample};
 
 /// Magic + version line of the persisted partial-progress envelope.
-const SAMPLE_MAGIC: &str = "dmdc-sample v1";
+const SAMPLE_MAGIC: &str = "dmdc-sample v2";
 
 /// Bytes per memory page (must match `SparseMemory`'s page geometry:
 /// 4 KiB pages).
@@ -116,16 +126,131 @@ pub struct Checkpoint {
     /// restore re-materializes every touched page, preserving the
     /// invalidation footprint), other words only when nonzero.
     pub pages: Vec<(u64, Vec<(u32, u64)>)>,
-    /// Exported L1I/L1D/L2 cache state (see `Cache::export_state`).
-    pub l1i: Vec<u64>,
+    /// Exported L1I state (see `Cache::export_state`), run-length form.
+    pub l1i: WordRuns,
     /// Exported L1D state.
-    pub l1d: Vec<u64>,
+    pub l1d: WordRuns,
     /// Exported unified-L2 state.
-    pub l2: Vec<u64>,
+    pub l2: WordRuns,
     /// Exported branch-predictor state.
-    pub bpred: Vec<u64>,
+    pub bpred: WordRuns,
     /// Exported BTB state.
-    pub btb: Vec<u64>,
+    pub btb: WordRuns,
+}
+
+/// An exported warm-state table in equal-word run-length form — the
+/// checkpoint codec's unit on disk and in memory. Most warm state is
+/// empty (invalid L2 tags are all `u64::MAX`, cold LRU stamps and the
+/// BTB all `0`), so a table of thousands of words is a few dozen runs.
+/// The text form is the runs separated by spaces, each `w` (one word) or
+/// `w*n` (`n ≥ 2` copies of `w`); a table only ever holds maximal runs,
+/// so every table has exactly one text.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct WordRuns(Vec<(u64, u32)>);
+
+impl WordRuns {
+    /// Compresses `words` into maximal runs.
+    pub fn from_words(words: &[u64]) -> WordRuns {
+        let mut runs: Vec<(u64, u32)> = Vec::new();
+        for &w in words {
+            match runs.last_mut() {
+                Some((last, n)) if *last == w => *n += 1,
+                _ => runs.push((w, 1)),
+            }
+        }
+        WordRuns(runs)
+    }
+
+    /// The number of runs (not words).
+    pub fn runs(&self) -> usize {
+        self.0.len()
+    }
+
+    /// The words, if they number exactly `len` (a table's geometry);
+    /// `None` otherwise, checked before anything is allocated.
+    pub fn expand(&self, len: usize) -> Option<Vec<u64>> {
+        if self.0.iter().map(|&(_, n)| n as usize).sum::<usize>() != len {
+            return None;
+        }
+        let mut words = Vec::with_capacity(len);
+        for &(w, n) in &self.0 {
+            words.resize(words.len() + n as usize, w);
+        }
+        Some(words)
+    }
+
+    /// Parses the text form of a table of exactly `len` words. `None` on
+    /// any malformation: a count below 2, a missing or non-numeric count,
+    /// two adjacent runs of one word, or a total other than `len`. The
+    /// total is checked run by run, so no count read from the text ever
+    /// sizes an allocation.
+    pub fn parse(text: &str, len: usize) -> Option<WordRuns> {
+        if text.is_empty() {
+            return (len == 0).then(WordRuns::default);
+        }
+        let mut runs: Vec<(u64, u32)> = Vec::new();
+        let mut total = 0usize;
+        for token in text.split(' ') {
+            let (w, n) = match token.split_once('*') {
+                Some((w, n)) => (w.parse().ok()?, n.parse().ok().filter(|&n| n >= 2)?),
+                None => (token.parse().ok()?, 1),
+            };
+            if runs.last().is_some_and(|&(last, _)| last == w) {
+                return None;
+            }
+            total += n as usize;
+            if total > len {
+                return None;
+            }
+            runs.push((w, n));
+        }
+        (total == len).then_some(WordRuns(runs))
+    }
+}
+
+impl std::fmt::Display for WordRuns {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for (i, &(w, n)) in self.0.iter().enumerate() {
+            let sep = if i > 0 { " " } else { "" };
+            match n {
+                1 => write!(f, "{sep}{w}")?,
+                _ => write!(f, "{sep}{w}*{n}")?,
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Words per exported warm-state table under `config`, in [`Checkpoint`]
+/// field order (l1i, l1d, l2, bpred, btb): the geometry a checkpoint's
+/// runs must add up to. Mirrors the `export_state` layouts — a cache is
+/// three counters plus a tag and an LRU stamp per line, the predictor its
+/// history plus three tables of 2-bit counters packed eight to a word,
+/// the BTB its clock plus three words per entry.
+fn geometry(config: &CoreConfig) -> [usize; 5] {
+    let cache = |c: &CacheConfig| 3 + 2 * (c.sets() * u64::from(c.ways)) as usize;
+    let packed = |entries: u32| (entries as usize).div_ceil(8);
+    [
+        cache(&config.l1i),
+        cache(&config.l1d),
+        cache(&config.l2),
+        1 + packed(config.bimodal_entries)
+            + packed(config.gshare_entries)
+            + packed(config.meta_entries),
+        1 + 3 * config.btb_entries as usize,
+    ]
+}
+
+/// The error a checkpoint whose warm state does not fit `config` fails a
+/// cell with.
+fn misfit(workload: &Workload, config: &CoreConfig) -> CellError {
+    CellError::new(
+        FailureKind::SimError,
+        format!(
+            "{}: checkpoint warm state does not fit {}",
+            workload.name, config.name
+        ),
+    )
 }
 
 impl Checkpoint {
@@ -156,11 +281,11 @@ impl Checkpoint {
             int_regs: *emu.int_regs(),
             fp_bits,
             pages,
-            l1i: warm.hier.l1i.export_state(),
-            l1d: warm.hier.l1d.export_state(),
-            l2: warm.hier.l2.export_state(),
-            bpred: warm.bpred.export_state(),
-            btb: warm.btb.export_state(),
+            l1i: WordRuns::from_words(&warm.hier.l1i.export_state()),
+            l1d: WordRuns::from_words(&warm.hier.l1d.export_state()),
+            l2: WordRuns::from_words(&warm.hier.l2.export_state()),
+            bpred: WordRuns::from_words(&warm.bpred.export_state()),
+            btb: WordRuns::from_words(&warm.btb.export_state()),
         }
     }
 
@@ -200,25 +325,27 @@ impl Checkpoint {
     }
 
     /// Rebuilds the warmed cache hierarchy, branch predictor and BTB for
-    /// `config`. `None` if the exported words do not fit the config's
-    /// geometry (a foreign or corrupt checkpoint).
+    /// `config`, expanding each table's runs only once their total
+    /// matches the config's geometry. `None` if they do not (a checkpoint
+    /// captured under another config).
     pub fn warm_state(
         &self,
         config: &CoreConfig,
     ) -> Option<(MemoryHierarchy, BranchPredictor, Btb)> {
+        let [l1i, l1d, l2, bpred_len, btb_len] = geometry(config);
         let mut hier = MemoryHierarchy::new(config);
-        hier.l1i.import_state(&self.l1i)?;
-        hier.l1d.import_state(&self.l1d)?;
-        hier.l2.import_state(&self.l2)?;
+        hier.l1i.import_state(&self.l1i.expand(l1i)?)?;
+        hier.l1d.import_state(&self.l1d.expand(l1d)?)?;
+        hier.l2.import_state(&self.l2.expand(l2)?)?;
         let mut bpred = BranchPredictor::new(
             config.bimodal_entries,
             config.gshare_entries,
             config.gshare_history_bits,
             config.meta_entries,
         );
-        bpred.import_state(&self.bpred)?;
+        bpred.import_state(&self.bpred.expand(bpred_len)?)?;
         let mut btb = Btb::new(config.btb_entries);
-        btb.import_state(&self.btb)?;
+        btb.import_state(&self.btb.expand(btb_len)?)?;
         Some((hier, bpred, btb))
     }
 
@@ -229,8 +356,8 @@ impl Checkpoint {
         let _ = writeln!(out, "window {}", self.window);
         let _ = writeln!(out, "pc {}", self.pc);
         let _ = writeln!(out, "retired {}", self.retired);
-        let _ = writeln!(out, "ints {}", join(&self.int_regs));
-        let _ = writeln!(out, "fps {}", join(&self.fp_bits));
+        let _ = writeln!(out, "ints {}", WordRuns::from_words(&self.int_regs));
+        let _ = writeln!(out, "fps {}", WordRuns::from_words(&self.fp_bits));
         for (base, words) in &self.pages {
             let _ = write!(out, "page {base}");
             for (i, v) in words {
@@ -245,28 +372,37 @@ impl Checkpoint {
             ("bpred", &self.bpred),
             ("btb", &self.btb),
         ] {
-            let _ = writeln!(out, "{tag} {}", join(words));
+            let _ = writeln!(out, "{tag} {words}");
         }
         out
     }
 
     /// Approximate in-memory footprint, used by the in-process memo's
     /// byte-cap eviction. Counts the dominant heap payloads (page words
-    /// and exported microarchitectural words) plus a fixed allowance for
-    /// the register files and struct header; exactness is irrelevant — a
-    /// consistent estimate is all FIFO eviction needs.
+    /// and warm-state runs) plus a fixed allowance for the register files
+    /// and struct header; exactness is irrelevant — a consistent estimate
+    /// is all FIFO eviction needs.
     pub fn approx_bytes(&self) -> usize {
         let page_words: usize = self.pages.iter().map(|(_, w)| w.len()).sum();
-        let uarch_words =
-            self.l1i.len() + self.l1d.len() + self.l2.len() + self.bpred.len() + self.btb.len();
-        // Page entries are (u32, u64) pairs ≈ 16 bytes each with padding.
-        16 * page_words + 8 * uarch_words + 8 * 64 + 256
+        let runs = self.l1i.runs()
+            + self.l1d.runs()
+            + self.l2.runs()
+            + self.bpred.runs()
+            + self.btb.runs();
+        // Page words and runs are (u32, u64) pairs ≈ 16 bytes each with
+        // padding.
+        16 * (page_words + runs) + 8 * 64 + 256
     }
 
     /// Parses [`Checkpoint::encode`] output from an iterator of lines
     /// (shared with the partial-progress envelope, whose header precedes
-    /// the checkpoint). Returns `None` on any malformation.
-    pub fn decode<'a>(lines: &mut impl Iterator<Item = &'a str>) -> Option<Checkpoint> {
+    /// the checkpoint). Returns `None` on any malformation, including
+    /// warm-state runs that do not add up to `config`'s geometry and page
+    /// word indices past the page.
+    pub fn decode<'a>(
+        lines: &mut impl Iterator<Item = &'a str>,
+        config: &CoreConfig,
+    ) -> Option<Checkpoint> {
         let window = lines.next()?.strip_prefix("window ")?.parse().ok()?;
         let pc = lines.next()?.strip_prefix("pc ")?.parse().ok()?;
         let retired = lines.next()?.strip_prefix("retired ")?.parse().ok()?;
@@ -282,7 +418,11 @@ impl Checkpoint {
                     let mut words = Vec::new();
                     for pair in parts {
                         let (i, v) = pair.split_once(':')?;
-                        words.push((i.parse().ok()?, v.parse().ok()?));
+                        let i: u32 = i.parse().ok()?;
+                        if u64::from(i) >= PAGE_BYTES / 8 {
+                            return None;
+                        }
+                        words.push((i, v.parse().ok()?));
                     }
                     pages.push((base, words));
                 }
@@ -292,14 +432,15 @@ impl Checkpoint {
                 }
             }
         }
-        let tagged = |tag: &str, line: Option<&str>| -> Option<Vec<u64>> {
-            parse_words(line?.strip_prefix(tag)?.strip_prefix(' ').unwrap_or(""))
+        let [l1i, l1d, l2, bpred, btb] = geometry(config);
+        let tagged = |tag: &str, line: Option<&str>, len: usize| -> Option<WordRuns> {
+            WordRuns::parse(line?.strip_prefix(tag)?.strip_prefix(' ')?, len)
         };
-        let l1i = tagged("l1i", rest)?;
-        let l1d = tagged("l1d", lines.next())?;
-        let l2 = tagged("l2", lines.next())?;
-        let bpred = tagged("bpred", lines.next())?;
-        let btb = tagged("btb", lines.next())?;
+        let l1i = tagged("l1i", rest, l1i)?;
+        let l1d = tagged("l1d", lines.next(), l1d)?;
+        let l2 = tagged("l2", lines.next(), l2)?;
+        let bpred = tagged("bpred", lines.next(), bpred)?;
+        let btb = tagged("btb", lines.next(), btb)?;
         Some(Checkpoint {
             window,
             pc,
@@ -316,31 +457,8 @@ impl Checkpoint {
     }
 }
 
-fn join(words: &[u64]) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::with_capacity(words.len() * 4);
-    for (i, w) in words.iter().enumerate() {
-        if i > 0 {
-            s.push(' ');
-        }
-        let _ = write!(s, "{w}");
-    }
-    s
-}
-
-fn parse_words(body: &str) -> Option<Vec<u64>> {
-    if body.is_empty() {
-        return Some(Vec::new());
-    }
-    body.split(' ')
-        .map(str::parse)
-        .collect::<Result<_, _>>()
-        .ok()
-}
-
 fn parse_array(body: &str) -> Option<[u64; 32]> {
-    let words = parse_words(body)?;
-    words.try_into().ok()
+    WordRuns::parse(body, 32)?.expand(32)?.try_into().ok()
 }
 
 // ---------------------------------------------------------------------
@@ -352,13 +470,15 @@ fn parse_array(body: &str) -> Option<[u64; 32]> {
 // re-emulating — even under `--no-cache`, which only disables the *disk*
 // tiers. Each front end builds one context per process, so there is one
 // memo per process. Purely an accelerator: entries are exact
-// `Checkpoint` values, a miss (or an evicted entry) just re-runs the
-// fast-forward, and the memo dies with the process, so crash resume never
-// depends on it.
+// `Checkpoint` values in their compact run form (a full paper-scale
+// suite's 336 checkpoints come to about 7 MB), a miss (or an evicted
+// entry) just re-runs the fast-forward, and the memo dies with the
+// process, so crash resume never depends on it.
 
-/// FIFO-evicted memo cap. Full-suite runs need well under this; the cap
-/// only guards pathological long-lived processes.
-const MEMO_CAP_BYTES: usize = 256 << 20;
+/// FIFO-evicted memo cap, counted by `Checkpoint::approx_bytes`. A full
+/// paper-scale suite needs about 7 MB; the cap only guards long-lived
+/// processes such as `dmdc serve` that see many sampled streams.
+const MEMO_CAP_BYTES: usize = 64 << 20;
 
 /// The in-process checkpoint memo of one [`Context`].
 #[derive(Default)]
@@ -575,28 +695,30 @@ pub(crate) fn execute_sampled(
     );
     let store = ctx.checkpoints.as_ref();
 
-    // Pre-decode the program once per cell; every fast-forward stretch
-    // below executes through the compiled blocks.
-    let t_compile = Instant::now();
-    let code = BlockCode::compile(&workload.program);
-    let compile_nanos = t_compile.elapsed().as_nanos() as u64;
-
     let mut deltas: Vec<Vec<u64>> = Vec::new();
-    let mut pending: Option<Checkpoint> = None;
-    let mut emu = Emulator::new(&workload.program);
-    let mut warm = Warmer::new(config);
+    let mut pending: Option<Arc<Checkpoint>> = None;
     if let Some((dir, key)) = &envelope {
-        if let Some(partial) = dir.load(*key, |b| decode_partial(b, &opts.sampling, population)) {
-            if let Some(w) = Warmer::restore(&partial.checkpoint, config) {
-                emu = partial.checkpoint.restore_emulator(&workload.program);
-                warm = w;
-                deltas = partial.deltas;
-                pending = Some(partial.checkpoint);
-                ctx.recovery.record(RecoveryKind::CellResumed);
-            }
+        let partial = dir.load(*key, |b| {
+            decode_partial(b, &opts.sampling, population, config)
+        });
+        if let Some(partial) = partial {
+            deltas = partial.deltas;
+            pending = Some(Arc::new(partial.checkpoint));
+            ctx.recovery.record(RecoveryKind::CellResumed);
         }
     }
 
+    // The master fast-forward state, built on the first miss. A
+    // checkpoint hit (memo, store or resume envelope) leaves the master
+    // where it is and records in `behind` the checkpoint it must catch up
+    // to; the next miss restores from that first. A warm run never
+    // builds the master, compiles the program or rebuilds a memory image
+    // for it.
+    let mut master: Option<(Emulator<'_>, Warmer)> = None;
+    let mut behind: Option<Arc<Checkpoint>> = pending.clone();
+    let mut code: Option<BlockCode> = None;
+
+    let mut compile_nanos = 0u64;
     let mut ff_insts = 0u64;
     let mut ff_nanos = 0u64;
     let mut ff_blocks = 0u64;
@@ -606,97 +728,83 @@ pub(crate) fn execute_sampled(
     let first = deltas.len() as u64;
     for i in first..layout.windows {
         let checkpoint = match pending.take() {
-            Some(ck) => Arc::new(ck),
+            Some(ck) => ck,
             None => {
                 // In-process memo first (see `CkptMemo`): a hit means an
                 // earlier cell in this process — typically the same
                 // workload under a different policy — already produced
-                // this window's checkpoint.
+                // this window's checkpoint. The shared store next.
                 let mkey = memo_key(digest, &sample_desc, i as u32);
-                let memoed = ctx
+                let hit = ctx
                     .memo
                     .load(mkey)
-                    .and_then(|ck| Warmer::restore(&ck, config).map(|w| (ck, w)));
-                let ck = match memoed {
-                    Some((ck, w)) => {
-                        emu = ck.restore_emulator(&workload.program);
-                        warm = w;
-                        ckpt_shared += 1;
+                    .inspect(|_| ckpt_shared += 1)
+                    .or_else(|| {
+                        let s = store?;
+                        let key = s.key(digest, &sample_desc, i as u32);
+                        let ck = Arc::new(s.load(key, workload.name, i as u32, config)?);
+                        ctx.memo.publish(mkey, Arc::clone(&ck));
+                        Some(ck)
+                    });
+                let ck = match hit {
+                    Some(ck) => {
+                        behind = Some(Arc::clone(&ck));
                         ck
                     }
                     None => {
-                        // Shared store next: a hit replaces the
-                        // fast-forward entirely. The master emulator and
-                        // warm structures are restored from the stored
-                        // checkpoint (exactly as crash resume does), so a
-                        // later miss window fast-forwards from consistent
-                        // state.
-                        let stored = store.and_then(|s| {
-                            let key = s.key(digest, &sample_desc, i as u32);
-                            s.load(key, workload.name, i as u32)
-                                .and_then(|ck| Warmer::restore(&ck, config).map(|w| (ck, w)))
-                        });
-                        let ck = match stored {
-                            Some((ck, w)) => {
-                                emu = ck.restore_emulator(&workload.program);
-                                warm = w;
-                                Arc::new(ck)
-                            }
-                            None => {
-                                let target = layout.checkpoint_at(i);
-                                let t0 = Instant::now();
-                                // Warming horizon: only the last
-                                // `WARM_HORIZON` retired instructions
-                                // before a checkpoint warm the shadow
-                                // structures; the stretch before that
-                                // emulates silently through the compiled
-                                // blocks. The rule is a pure function of
-                                // position, so a resumed run (which
-                                // restarts the master emulator at the
-                                // previous checkpoint) reproduces the
-                                // same warm state exactly.
-                                let silent_until = target.saturating_sub(WARM_HORIZON);
-                                if emu.retired() < silent_until {
-                                    ff_insts += silent_until - emu.retired();
-                                    match emu.run_silent(&code, silent_until) {
-                                        Ok(stats) => {
-                                            ff_blocks += stats.blocks;
-                                            ff_fallback_steps += stats.fallback_steps;
-                                        }
-                                        Err(e) => {
-                                            return Err(CellError::new(
-                                                FailureKind::SimError,
-                                                format!(
-                                                    "{} fast-forward failed: {e}",
-                                                    workload.name
-                                                ),
-                                            ))
-                                        }
-                                    }
-                                }
-                                // The warmed stretch runs through the
-                                // observed block executor — same events
-                                // as a step()+observe loop, none of the
-                                // per-step `Retired` overhead.
-                                ff_insts += target - emu.retired();
-                                emu.run_observed(&code, target, &mut warm).map_err(|e| {
-                                    CellError::new(
-                                        FailureKind::SimError,
-                                        format!("{} fast-forward failed: {e}", workload.name),
-                                    )
-                                })?;
-                                ff_nanos += t0.elapsed().as_nanos() as u64;
-                                let ck = Arc::new(Checkpoint::capture(i as u32, &emu, &warm));
-                                if let Some(s) = store {
-                                    s.store(
-                                        s.key(digest, &sample_desc, i as u32),
-                                        workload.name,
-                                        &ck,
-                                    );
-                                }
-                                ck
-                            }
+                        let (mut emu, mut warm) = match behind.take() {
+                            Some(ck) => (
+                                ck.restore_emulator(&workload.program),
+                                Warmer::restore(&ck, config)
+                                    .ok_or_else(|| misfit(workload, config))?,
+                            ),
+                            None => master.take().unwrap_or_else(|| {
+                                (Emulator::new(&workload.program), Warmer::new(config))
+                            }),
                         };
+                        // Pre-decode the program once per cell; every
+                        // fast-forward stretch executes through the
+                        // compiled blocks.
+                        let code = code.get_or_insert_with(|| {
+                            let t = Instant::now();
+                            let code = BlockCode::compile(&workload.program);
+                            compile_nanos = t.elapsed().as_nanos() as u64;
+                            code
+                        });
+                        let target = layout.checkpoint_at(i);
+                        let t0 = Instant::now();
+                        // Warming horizon: only the last `WARM_HORIZON`
+                        // retired instructions before a checkpoint warm
+                        // the shadow structures; the stretch before that
+                        // emulates silently through the compiled blocks.
+                        // The rule is a pure function of position, so a
+                        // master restored from an earlier checkpoint
+                        // reproduces the same warm state exactly.
+                        let silent_until = target.saturating_sub(WARM_HORIZON);
+                        let ff_err = |e| {
+                            CellError::new(
+                                FailureKind::SimError,
+                                format!("{} fast-forward failed: {e}", workload.name),
+                            )
+                        };
+                        if emu.retired() < silent_until {
+                            ff_insts += silent_until - emu.retired();
+                            let stats = emu.run_silent(code, silent_until).map_err(ff_err)?;
+                            ff_blocks += stats.blocks;
+                            ff_fallback_steps += stats.fallback_steps;
+                        }
+                        // The warmed stretch runs through the observed
+                        // block executor — same events as a
+                        // step()+observe loop, none of the per-step
+                        // `Retired` overhead.
+                        ff_insts += target - emu.retired();
+                        emu.run_observed(code, target, &mut warm).map_err(ff_err)?;
+                        ff_nanos += t0.elapsed().as_nanos() as u64;
+                        let ck = Arc::new(Checkpoint::capture(i as u32, &emu, &warm));
+                        master = Some((emu, warm));
+                        if let Some(s) = store {
+                            s.store(s.key(digest, &sample_desc, i as u32), workload.name, &ck);
+                        }
                         ctx.memo.publish(mkey, Arc::clone(&ck));
                         ck
                     }
@@ -765,15 +873,9 @@ fn run_window(
     layout: &Layout,
     checkpoint: &Checkpoint,
 ) -> Result<Vec<u64>, CellError> {
-    let (hier, bpred, btb) = checkpoint.warm_state(config).ok_or_else(|| {
-        CellError::new(
-            FailureKind::SimError,
-            format!(
-                "{}: checkpoint warm state does not fit {}",
-                workload.name, config.name
-            ),
-        )
-    })?;
+    let (hier, bpred, btb) = checkpoint
+        .warm_state(config)
+        .ok_or_else(|| misfit(workload, config))?;
     let mut fp_regs = [0.0f64; 32];
     for (slot, &bits) in fp_regs.iter_mut().zip(&checkpoint.fp_bits) {
         *slot = f64::from_bits(bits);
@@ -1022,7 +1124,7 @@ fn encode_partial(
     let _ = writeln!(body, "population {population}");
     let _ = writeln!(body, "done {}", deltas.len());
     for delta in deltas {
-        let _ = writeln!(body, "delta {}", join(delta));
+        let _ = writeln!(body, "delta {}", WordRuns::from_words(delta));
     }
     body.push_str(&checkpoint.encode());
     body
@@ -1031,7 +1133,12 @@ fn encode_partial(
 /// Decodes and validates a partial-progress envelope body; any mismatch
 /// (schema, spec, population, window-count consistency) quarantines the
 /// envelope and degrades to a fresh start, never an error.
-fn decode_partial(body: &str, spec: &SampleSpec, population: u64) -> Option<Partial> {
+fn decode_partial(
+    body: &str,
+    spec: &SampleSpec,
+    population: u64,
+    config: &CoreConfig,
+) -> Option<Partial> {
     let mut lines = body.lines();
     let export_len: usize = lines
         .next()?
@@ -1056,15 +1163,12 @@ fn decode_partial(body: &str, spec: &SampleSpec, population: u64) -> Option<Part
         return None;
     }
     let done: usize = lines.next()?.strip_prefix("done ")?.parse().ok()?;
-    let mut deltas = Vec::with_capacity(done);
+    let mut deltas = Vec::new();
     for _ in 0..done {
-        let delta = parse_words(lines.next()?.strip_prefix("delta ")?)?;
-        if delta.len() != SimStats::EXPORT_LEN {
-            return None;
-        }
-        deltas.push(delta);
+        let runs = WordRuns::parse(lines.next()?.strip_prefix("delta ")?, SimStats::EXPORT_LEN)?;
+        deltas.push(runs.expand(SimStats::EXPORT_LEN)?);
     }
-    let checkpoint = Checkpoint::decode(&mut lines)?;
+    let checkpoint = Checkpoint::decode(&mut lines, config)?;
     if checkpoint.window as usize != done || lines.next().is_some() {
         return None;
     }
@@ -1109,8 +1213,83 @@ mod tests {
     fn checkpoint_encode_decode_roundtrips() {
         let (_w, ck) = warm_checkpoint(5_000);
         let text = ck.encode();
-        let back = Checkpoint::decode(&mut text.lines()).expect("decodes");
+        let back = Checkpoint::decode(&mut text.lines(), &CoreConfig::config2()).expect("decodes");
         assert_eq!(back, ck);
+    }
+
+    #[test]
+    fn geometry_matches_the_exported_tables() {
+        for config in CoreConfig::all() {
+            let warm = Warmer::new(&config);
+            let exported = [
+                warm.hier.l1i.export_state().len(),
+                warm.hier.l1d.export_state().len(),
+                warm.hier.l2.export_state().len(),
+                warm.bpred.export_state().len(),
+                warm.btb.export_state().len(),
+            ];
+            assert_eq!(geometry(&config), exported, "{}", config.name);
+        }
+    }
+
+    #[test]
+    fn cold_warm_state_is_a_handful_of_runs() {
+        let config = CoreConfig::config2();
+        let (w, ck) = warm_checkpoint(5_000);
+        let cold = Checkpoint::capture(0, &Emulator::new(&w.program), &Warmer::new(&config));
+        // tick, hits, misses, then one run of invalid tags and one of
+        // zero LRU stamps.
+        assert_eq!(cold.l2.runs(), 3);
+        assert_eq!(cold.btb.runs(), 1);
+        // Warmed, the L2 is still mostly invalid lines.
+        assert!(
+            ck.l2.runs() < geometry(&config)[2] / 10,
+            "{} runs",
+            ck.l2.runs()
+        );
+    }
+
+    #[test]
+    fn hostile_run_counts_decode_to_none() {
+        let config = CoreConfig::config2();
+        let (_w, ck) = warm_checkpoint(2_000);
+        let text = ck.encode();
+        let l2 = geometry(&config)[2];
+        let l2_line = text.lines().find(|l| l.starts_with("l2 ")).unwrap();
+        let hostile = [
+            "0*0".to_string(),
+            "0*1".to_string(),
+            "*".to_string(),
+            "0*".to_string(),
+            "*7".to_string(),
+            "0*x".to_string(),
+            "0*-3".to_string(),
+            "0**2".to_string(),
+            format!("0*{}", l2 + 1),
+            format!("0*{}", 1u64 << 40),
+            format!("0*{} 0*{}", l2 / 2, l2 - l2 / 2),
+            format!("0*{}", l2 - 1),
+            String::new(),
+        ];
+        for runs in &hostile {
+            let body = text.replace(l2_line, &format!("l2 {runs}"));
+            assert!(
+                Checkpoint::decode(&mut body.lines(), &config).is_none(),
+                "`l2 {runs}` must not decode"
+            );
+            assert!(WordRuns::parse(runs, l2).is_none(), "`{runs}`");
+        }
+        // The same table at its own geometry decodes; a word index past
+        // the page does not.
+        assert!(WordRuns::parse(&format!("0*{l2}"), l2).is_some());
+        let page = text.lines().find(|l| l.starts_with("page ")).unwrap();
+        let body = text.replace(page, &format!("{page} 512:1"));
+        assert!(Checkpoint::decode(&mut body.lines(), &config).is_none());
+        // A config with another geometry rejects the checkpoint outright.
+        let mut smaller = config.clone();
+        smaller.l2.size_bytes /= 2;
+        assert!(Checkpoint::decode(&mut text.lines(), &smaller).is_none());
+        assert!(ck.warm_state(&smaller).is_none());
     }
 
     #[test]
@@ -1137,14 +1316,18 @@ mod tests {
             .join("../../target/dmdc-ckpt-store-unit-test");
         let _ = std::fs::remove_dir_all(&root);
         let (w, ck) = warm_checkpoint(2_000);
+        let config = CoreConfig::config2();
         let digest = workload_digest(&w);
         let store = CheckpointStore::with_fingerprint(&root, "fp-a");
         let key = store.key(digest, "desc", ck.window);
 
-        assert!(store.load(key, w.name, ck.window).is_none(), "cold miss");
+        assert!(
+            store.load(key, w.name, ck.window, &config).is_none(),
+            "cold miss"
+        );
         store.store(key, w.name, &ck);
         assert_eq!(
-            store.load(key, w.name, ck.window).as_ref(),
+            store.load(key, w.name, ck.window, &config).as_ref(),
             Some(&ck),
             "stored checkpoint must round-trip exactly"
         );
@@ -1162,11 +1345,13 @@ mod tests {
 
         // A checkpoint stored under a colliding key for a *different*
         // workload or window is stale: quarantined, never returned.
-        assert!(store.load(key, "some-other-workload", ck.window).is_none());
+        assert!(store
+            .load(key, "some-other-workload", ck.window, &config)
+            .is_none());
         let c = store.counters();
         assert_eq!(c.corrupt, 1, "workload mismatch quarantines");
         assert!(
-            store.load(key, w.name, ck.window).is_none(),
+            store.load(key, w.name, ck.window, &config).is_none(),
             "the quarantined file must be gone"
         );
         let _ = std::fs::remove_dir_all(&root);
@@ -1181,7 +1366,8 @@ mod tests {
         let digest = workload_digest(&w);
         let spec = SampleSpec::default();
         let deltas = vec![vec![7; SimStats::EXPORT_LEN]; ck.window as usize];
-        let decode = |b: &str| decode_partial(b, &spec, 50_000);
+        let config = CoreConfig::config2();
+        let decode = |b: &str| decode_partial(b, &spec, 50_000, &config);
         let (dir_a, key_a) = partial_envelope(&run, "fp-a".into(), digest, "desc");
         dir_a.store(key_a, &encode_partial(&spec, 50_000, &deltas, &ck));
         let back = dir_a

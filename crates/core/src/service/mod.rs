@@ -37,7 +37,7 @@
 //! | `GET /jobs/<id>`                  | one job's status document                    |
 //! | `GET /jobs/<id>/result`           | the stored result (202 while pending)        |
 //! | `GET /jobs/<id>/result?wait=<ms>` | long-poll: 202 only after `ms` (≤ 60 s)      |
-//! | `GET /metrics`                    | service + cache counters                     |
+//! | `GET /metrics`                    | service, store and recovery counters         |
 //! | `POST /queue/pause`               | stop dispatching (submissions still enqueue) |
 //! | `POST /queue/resume`              | resume dispatching                           |
 //! | `POST /shutdown`                  | graceful drain, then exit                    |
@@ -58,6 +58,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use crate::cache::CacheCounters;
 use crate::runner::Context;
 use crate::service::http::error_body;
 use crate::service::jobs::{JobManager, JobSpec, JobState, SubmitOutcome};
@@ -399,7 +400,9 @@ fn result_wait(query: Option<&str>) -> Result<Duration, String> {
         })
 }
 
-/// `GET /metrics`: service, queue and cache counters in one document.
+/// `GET /metrics`: service, queue, store and recovery counters in one
+/// document. The store and recovery sections come with the cell store:
+/// a bare context (the wire tests' `metrics.json`) reports jobs only.
 fn metrics_json(manager: &JobManager, ctx: &Context) -> String {
     let c = manager.counters();
     let mut out = format!(
@@ -416,11 +419,28 @@ fn metrics_json(manager: &JobManager, ctx: &Context) -> String {
         manager.paused()
     );
     if let Some(cache) = ctx.cache() {
-        let cc = cache.counters();
+        let section = |name: &str, c: CacheCounters| {
+            format!(
+                ", \"{name}\": {{\"hits\": {}, \"misses\": {}, \"stores\": {}, \
+                 \"corrupt\": {}, \"quarantined\": {}}}",
+                c.hits, c.misses, c.stores, c.corrupt, c.quarantined
+            )
+        };
+        out.push_str(&section("cache", cache.counters()));
+        let checkpoints = ctx.checkpoints().map(|s| s.counters());
+        out.push_str(&section("checkpoints", checkpoints.unwrap_or_default()));
+        let r = ctx.recovery();
         out.push_str(&format!(
-            ", \"cache\": {{\"hits\": {}, \"misses\": {}, \"stores\": {}, \
-             \"corrupt\": {}, \"quarantined\": {}}}",
-            cc.hits, cc.misses, cc.stores, cc.corrupt, cc.quarantined
+            ", \"recovery\": {{\"retries\": {}, \"cell_failures\": {}, \
+             \"cache_quarantined\": {}, \"workers_lost\": {}, \"cells_resumed\": {}, \
+             \"leases_reclaimed\": {}, \"cells_poisoned\": {}}}",
+            r.retries,
+            r.cell_failures,
+            r.cache_quarantined,
+            r.workers_lost,
+            r.cells_resumed,
+            r.leases_reclaimed,
+            r.cells_poisoned
         ));
     }
     out.push_str("}\n");

@@ -1,11 +1,12 @@
-//! Property tests for the sampling engine's checkpoint machinery: a
+//! Property tests for the sampling engine's checkpoint machinery: the
+//! run-length word codec must be the identity on any table, a
 //! [`Checkpoint`] must survive serialize → deserialize with every field
 //! intact, and a detailed window driven from the decoded checkpoint —
 //! including the warmup-then-resume two-phase protocol the sampling
 //! driver uses — must reproduce the original window's stats exactly.
 
 use dmdc_core::experiments::PolicyKind;
-use dmdc_core::sampling::{Checkpoint, Warmer};
+use dmdc_core::sampling::{Checkpoint, Warmer, WordRuns};
 use dmdc_ooo::{CoreConfig, SimOptions, Simulator};
 use dmdc_workloads::SyntheticKernel;
 use proptest::prelude::*;
@@ -61,6 +62,50 @@ fn window_from(
     (result.stats.export_values(), result.checksum)
 }
 
+/// A word table shaped like exported warm state: `(kind, length, word)`
+/// segments laid end to end — long runs of `0` and of `u64::MAX`, runs
+/// of an arbitrary word, and single arbitrary words. Zero segments give
+/// the empty table.
+fn table(segments: &[(u8, usize, u64)]) -> Vec<u64> {
+    let mut words = Vec::new();
+    for &(kind, len, word) in segments {
+        match kind {
+            0 => words.resize(words.len() + len, 0),
+            1 => words.resize(words.len() + len, u64::MAX),
+            2 => words.resize(words.len() + len % 8, word),
+            _ => words.push(word),
+        }
+    }
+    words
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Text → runs → words is the identity on any table, the text holds
+    /// only maximal runs (so it is the one text of that table), and any
+    /// other length rejects it.
+    #[test]
+    fn word_runs_roundtrip_any_table(
+        segments in proptest::collection::vec((0u8..4, 0usize..3_000, any::<u64>()), 0..12),
+    ) {
+        let words = table(&segments);
+        let runs = WordRuns::from_words(&words);
+        let text = runs.to_string();
+        let parsed = WordRuns::parse(&text, words.len()).expect("parses at its own length");
+        prop_assert_eq!(&parsed, &runs);
+        prop_assert_eq!(parsed.expand(words.len()), Some(words.clone()));
+        prop_assert_eq!(parsed.to_string(), text.clone());
+        let maximal = words.windows(2).filter(|w| w[0] != w[1]).count() + 1;
+        prop_assert_eq!(runs.runs(), if words.is_empty() { 0 } else { maximal });
+        prop_assert!(WordRuns::parse(&text, words.len() + 1).is_none());
+        prop_assert!(runs.expand(words.len() + 1).is_none());
+        if !words.is_empty() {
+            prop_assert!(WordRuns::parse(&text, words.len() - 1).is_none());
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -74,7 +119,7 @@ proptest! {
         let config = CoreConfig::config2();
         let ck = capture_at(kernel_size, frac * 500, &config);
         let encoded = ck.encode();
-        let decoded = Checkpoint::decode(&mut encoded.lines()).expect("decodes");
+        let decoded = Checkpoint::decode(&mut encoded.lines(), &config).expect("decodes");
         prop_assert_eq!(decoded.window, ck.window);
         prop_assert_eq!(decoded.pc, ck.pc);
         prop_assert_eq!(decoded.retired, ck.retired);
@@ -105,7 +150,7 @@ proptest! {
         let config = CoreConfig::config2();
         let ck = capture_at(kernel_size, frac * 500, &config);
         let encoded = ck.encode();
-        let decoded = Checkpoint::decode(&mut encoded.lines()).expect("decodes");
+        let decoded = Checkpoint::decode(&mut encoded.lines(), &config).expect("decodes");
         let horizon = warmup + measure;
         let (live, live_sum) = window_from(&ck, kernel_size, &config, horizon, Some(warmup));
         let (resumed, resumed_sum) =

@@ -1139,7 +1139,7 @@ fn cmd_status(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `dmdc metrics`: the daemon's service and cache counters.
+/// `dmdc metrics`: the daemon's service, store and recovery counters.
 fn cmd_metrics(args: &[String]) -> Result<(), String> {
     let flags = parse_flags(args)?;
     let addr = server_addr(&flags);

@@ -9,7 +9,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use std::sync::Arc;
 
-use dmdc::core::cache::{seal, CellCache};
+use dmdc::core::cache::{seal, unseal, CellCache};
 use dmdc::core::experiments::PolicyKind;
 use dmdc::core::runner::{Context, Engine, RunSpec};
 use dmdc::ooo::CoreConfig;
@@ -176,32 +176,32 @@ fn store_line(out: &Output) -> String {
         .to_string()
 }
 
-#[test]
-fn damaged_checkpoints_are_quarantined_and_regenerated() {
-    let wd = cache_dir("dmdc-ckpt-integrity-wd");
-    std::fs::create_dir_all(&wd).unwrap();
-    const RUN: &[&str] = &[
-        "run",
-        "--workload",
-        "histo",
-        "--policy",
-        "dmdc-global",
-        "--scale",
-        "default",
-        "--sampled",
-        "--profile",
-    ];
+const SAMPLED_RUN: &[&str] = &[
+    "run",
+    "--workload",
+    "histo",
+    "--policy",
+    "dmdc-global",
+    "--scale",
+    "default",
+    "--sampled",
+    "--profile",
+];
 
+/// A cold sampled run in a fresh working directory `name`: returns the
+/// directory, the report and the 24 sealed checkpoint files it left.
+fn cold_checkpoint_store(name: &str) -> (PathBuf, String, Vec<PathBuf>) {
+    let wd = cache_dir(name);
+    std::fs::create_dir_all(&wd).unwrap();
     // Cold: every window misses, fast-forwards, and seals a checkpoint.
-    let cold = dmdc(&wd, RUN);
+    let cold = dmdc(&wd, SAMPLED_RUN);
     let reference = stdout(&cold);
     assert!(
         store_line(&cold).contains("0 hits, 24 misses, 24 stored, 0 corrupt"),
         "cold run must populate the store, got: {}",
         store_line(&cold)
     );
-    let ckpt_dir = wd.join("target/dmdc-cache/checkpoints");
-    let mut entries: Vec<PathBuf> = std::fs::read_dir(&ckpt_dir)
+    let mut entries: Vec<PathBuf> = std::fs::read_dir(wd.join("target/dmdc-cache/checkpoints"))
         .unwrap()
         .flatten()
         .map(|e| e.path())
@@ -209,6 +209,47 @@ fn damaged_checkpoints_are_quarantined_and_regenerated() {
         .collect();
     entries.sort();
     assert_eq!(entries.len(), 24, "one sealed checkpoint per window");
+    (wd, reference, entries)
+}
+
+/// Runs the sampled cell again over a store with `damaged` bad entries:
+/// each degrades to a miss — quarantined, re-fast-forwarded and
+/// re-sealed — with the report still byte-identical, and a third run is
+/// all hits again.
+fn store_heals(wd: &Path, reference: &str, damaged: usize) {
+    let repair = dmdc(wd, SAMPLED_RUN);
+    assert_eq!(stdout(&repair), reference, "repair run drifted");
+    let want = format!(
+        "{} hits, {damaged} misses, {damaged} stored, {damaged} corrupt, {damaged} quarantined",
+        24 - damaged
+    );
+    assert!(
+        store_line(&repair).contains(&want),
+        "want `{want}`, got: {}",
+        store_line(&repair)
+    );
+    let quarantined = std::fs::read_dir(wd.join("target/dmdc-cache/checkpoints/quarantine"))
+        .expect("quarantine dir exists")
+        .flatten()
+        .count();
+    assert_eq!(
+        quarantined, damaged,
+        "damaged checkpoints preserved for post-mortem"
+    );
+
+    // The regenerated entries are trusted again: a third run is all hits.
+    let warm = dmdc(wd, SAMPLED_RUN);
+    assert_eq!(stdout(&warm), reference, "warm run drifted");
+    assert!(
+        store_line(&warm).contains("24 hits, 0 misses, 0 stored, 0 corrupt"),
+        "repaired store must serve every window, got: {}",
+        store_line(&warm)
+    );
+}
+
+#[test]
+fn damaged_checkpoints_are_quarantined_and_regenerated() {
+    let (wd, reference, entries) = cold_checkpoint_store("dmdc-ckpt-integrity-wd");
 
     // Damage three entries three different ways.
     let truncated = std::fs::read(&entries[0]).unwrap();
@@ -219,30 +260,30 @@ fn damaged_checkpoints_are_quarantined_and_regenerated() {
     std::fs::write(&entries[1], flipped).unwrap();
     std::fs::write(&entries[2], b"this was never a sealed checkpoint").unwrap();
 
-    // The damaged windows degrade to misses: quarantined, re-fast-forwarded
-    // and re-sealed, with the report still byte-identical.
-    let repair = dmdc(&wd, RUN);
-    assert_eq!(stdout(&repair), reference, "repair run drifted");
-    assert!(
-        store_line(&repair).contains("21 hits, 3 misses, 3 stored, 3 corrupt, 3 quarantined"),
-        "want quarantine-and-regenerate counters, got: {}",
-        store_line(&repair)
-    );
-    let quarantined = std::fs::read_dir(ckpt_dir.join("quarantine"))
-        .expect("quarantine dir exists")
-        .flatten()
-        .count();
-    assert_eq!(
-        quarantined, 3,
-        "damaged checkpoints preserved for post-mortem"
-    );
+    store_heals(&wd, &reference, 3);
+}
 
-    // The regenerated entries are trusted again: a third run is all hits.
-    let warm = dmdc(&wd, RUN);
-    assert_eq!(stdout(&warm), reference, "warm run drifted");
-    assert!(
-        store_line(&warm).contains("24 hits, 0 misses, 0 stored, 0 corrupt"),
-        "repaired store must serve every window, got: {}",
-        store_line(&warm)
-    );
+#[test]
+fn hostile_run_counts_are_quarantined_not_trusted() {
+    // Correctly sealed bodies whose warm-state runs lie: the seal passes,
+    // so the run codec itself must refuse each one — without panicking
+    // and without sizing a buffer by the count it read.
+    let (wd, reference, entries) = cold_checkpoint_store("dmdc-ckpt-hostile-wd");
+    let hostile = [
+        "0*0",                                // a run of no words
+        "0*1",                                // a single word is written bare
+        "*",                                  // neither word nor count
+        "0*many",                             // a non-numeric count
+        "0*16388",                            // one word past config 2's L2
+        "18446744073709551615*1099511627776", // 2^40 invalid tags
+    ];
+    for (entry, runs) in entries.iter().zip(hostile) {
+        let text = std::fs::read_to_string(entry).unwrap();
+        let body = unseal(&text).expect("a freshly written checkpoint unseals");
+        let l2 = body.lines().find(|l| l.starts_with("l2 ")).unwrap();
+        let lie = body.replace(l2, &format!("l2 {runs}"));
+        std::fs::write(entry, seal(&lie)).unwrap();
+    }
+
+    store_heals(&wd, &reference, hostile.len());
 }

@@ -506,6 +506,12 @@ fn corrupt_result_is_quarantined_and_the_job_reruns() {
         .map(|entries| entries.count())
         .unwrap_or(0);
     assert_eq!(quarantined, 1, "the damaged result is kept for inspection");
+    // The quarantine is visible on the wire, not only on disk.
+    assert_eq!(
+        metric(&doc, "recovery", "cache_quarantined"),
+        1,
+        "{metrics}"
+    );
     assert!(revived.shutdown());
 }
 
@@ -583,12 +589,18 @@ fn sampled_jobs_share_checkpoints_across_daemon_lives() {
             .to_string();
         let (status, payload) = daemon.await_result(&id);
         assert_eq!(status, 200, "{payload}");
+        let (_, metrics) = daemon.get("/metrics");
+        let doc = json::parse(&metrics).unwrap();
         assert!(daemon.shutdown());
         if stored == 0 {
             stored = checkpoints();
             assert!(stored > 0, "the first sampled job persists its checkpoints");
+            assert_eq!(metric(&doc, "checkpoints", "stores"), 24, "{metrics}");
         } else {
             assert_eq!(checkpoints(), stored, "the second life adds no checkpoint");
+            // Every window of the second life restores from the store.
+            assert_eq!(metric(&doc, "checkpoints", "hits"), 24, "{metrics}");
+            assert_eq!(metric(&doc, "checkpoints", "misses"), 0, "{metrics}");
         }
     }
 }
