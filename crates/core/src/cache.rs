@@ -36,6 +36,11 @@
 //! store was built for, and the cell transparently regenerated. Hits skip both the simulation and
 //! its emulator-oracle verification — the cache stores only verified
 //! results.
+//!
+//! The cell cache and the [`CheckpointStore`] beside it are also the
+//! crash record of every run: a killed run's finished cells and every
+//! checkpoint its sampled cells captured are already here, so a resume
+//! reads them back like any warm run.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -70,9 +75,9 @@ pub fn default_cache_dir() -> PathBuf {
 }
 
 /// The default root for `--run-id` run records, `target/dmdc-runs/`
-/// under the current working directory: each run's sealed manifest,
-/// sampled cells' partial-progress envelopes and, under `--no-cache`, a
-/// run-private cell store. A run without `--run-id` writes nothing here.
+/// under the current working directory: each run's sealed manifest and,
+/// under `--no-cache`, a run-private cell and checkpoint store. A run
+/// without `--run-id` writes nothing here.
 pub fn default_runs_dir() -> PathBuf {
     PathBuf::from("target").join("dmdc-runs")
 }
@@ -262,12 +267,11 @@ pub struct CacheCounters {
     pub quarantined: u64,
 }
 
-/// The sealed-file core every durable record is built on — both stores,
-/// sampled runs' partial-progress envelopes, and the daemon's job and
-/// result envelopes: one directory of `<key>.<ext>` files, each a
-/// [`seal`]ed body written via tmp + rename, verified before it is
-/// decoded, quarantined to `quarantine/` when damaged or stale, and
-/// counted. Built [in a context](SealedDir::in_context), it also counts
+/// The sealed-file core every durable record is built on — both stores
+/// and the daemon's job and result envelopes: one directory of
+/// `<key>.<ext>` files, each a [`seal`]ed body written via tmp + rename,
+/// verified before it is decoded, quarantined to `quarantine/` when
+/// damaged or stale, and counted. Built [in a context](SealedDir::in_context), it also counts
 /// quarantines in the context's recovery counters and runs the context's
 /// fault plan after every write.
 #[derive(Debug)]
@@ -400,11 +404,6 @@ impl SealedDir {
             .collect();
         keys.sort_unstable();
         keys
-    }
-
-    /// Deletes entry `key` (best-effort).
-    pub(crate) fn remove(&self, key: u64) {
-        let _ = std::fs::remove_file(self.dir.join(self.name_of(key)));
     }
 
     fn counters(&self) -> CacheCounters {
@@ -577,25 +576,19 @@ impl CheckpointStore {
 
 /// Parses a stored checkpoint body: magic line, `workload <name>` guard,
 /// then [`Checkpoint::encode`] output, with the window index required to
-/// match and no trailing lines tolerated.
+/// match.
 fn decode_checkpoint_body(
     body: &str,
     expected_workload: &str,
     window: u32,
     config: &CoreConfig,
 ) -> Option<Checkpoint> {
-    let mut lines = body.lines();
-    if lines.next()? != CKPT_MAGIC {
+    let (magic, rest) = body.split_once('\n')?;
+    let (workload, rest) = rest.split_once('\n')?;
+    if magic != CKPT_MAGIC || workload.strip_prefix("workload ")? != expected_workload {
         return None;
     }
-    if lines.next()?.strip_prefix("workload ")? != expected_workload {
-        return None;
-    }
-    let ck = Checkpoint::decode(&mut lines, config)?;
-    if ck.window != window || lines.next().is_some() {
-        return None;
-    }
-    Some(ck)
+    Checkpoint::decode(rest, config).filter(|ck| ck.window == window)
 }
 
 #[cfg(test)]

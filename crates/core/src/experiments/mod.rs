@@ -535,8 +535,8 @@ pub fn run_workload(
 }
 
 /// [`run_workload`] under `ctx`: a sampled run consults the context's
-/// checkpoint store, run directory and checkpoint memo, and reports into
-/// its profile sink and recovery counters (CLI `dmdc run --sampled`).
+/// checkpoint store and checkpoint memo, and reports into its profile
+/// sink and recovery counters (CLI `dmdc run --sampled`).
 ///
 /// # Panics
 ///

@@ -12,8 +12,8 @@
 //!   scheduling, and by default only on a cell's first attempt, so a
 //!   retry demonstrably recovers it;
 //! * **durable-write faults** — [`FaultPlan::on_sealed_write`] runs after every
-//!   sealed record write (cell store, checkpoint store, partial-progress
-//!   envelope, the daemon's job and result envelopes). `corrupt=N` flips
+//!   sealed record write (cell store, checkpoint store, the daemon's job
+//!   and result envelopes). `corrupt=N` flips
 //!   a byte in every Nth write, simulating bit rot the next lookup must
 //!   quarantine; `truncate=N` (alias
 //!   `partial-upload=N`) cuts every Nth write in half, a crash landing
@@ -159,9 +159,9 @@ impl FaultPlan {
         }
     }
 
-    /// Hook: a sealed record (cell store, checkpoint store,
-    /// partial-progress envelope, or the daemon's job or result envelope)
-    /// was just renamed into place. Writes are
+    /// Hook: a sealed record (cell store, checkpoint store, or the
+    /// daemon's job or result envelope) was just renamed into place.
+    /// Writes are
     /// counted from 0; with `corrupt=N` write `n` gets its last byte
     /// flipped when `(n + seed) % N == 0`, preserving length (a
     /// checksum-mismatch quarantine, not a truncation); with `truncate=N`

@@ -28,9 +28,6 @@ pub enum RecoveryKind {
     /// A worker thread died; its remaining cells ran serially on the
     /// coordinating thread.
     WorkerLost,
-    /// A sampled cell continued mid-cell from a crashed run's
-    /// partial-progress envelope instead of starting over.
-    CellResumed,
     /// A distributed worker's lease expired (missed heartbeats, death,
     /// hang) and the cell was re-issued to another worker.
     LeaseReclaimed,
@@ -51,8 +48,6 @@ pub struct RecoveryCounters {
     pub cache_quarantined: u64,
     /// Worker threads lost (work continued serially).
     pub workers_lost: u64,
-    /// Sampled cells continued from a partial-progress envelope.
-    pub cells_resumed: u64,
     /// Distributed leases that expired and were re-issued.
     pub leases_reclaimed: u64,
     /// Cells poisoned after enough distinct workers died holding them.
@@ -69,7 +64,7 @@ impl RecoveryCounters {
 /// One run context's recovery counters, indexed by [`RecoveryKind`].
 #[derive(Debug, Default)]
 pub(crate) struct Recovery {
-    counts: [AtomicU64; 7],
+    counts: [AtomicU64; 6],
 }
 
 impl Recovery {
@@ -86,7 +81,6 @@ impl Recovery {
             cell_failures: count(RecoveryKind::CellQuarantined),
             cache_quarantined: count(RecoveryKind::CacheQuarantined),
             workers_lost: count(RecoveryKind::WorkerLost),
-            cells_resumed: count(RecoveryKind::CellResumed),
             leases_reclaimed: count(RecoveryKind::LeaseReclaimed),
             cells_poisoned: count(RecoveryKind::CellPoisoned),
         }
@@ -96,12 +90,11 @@ impl Recovery {
 /// Renders the counters as the `--profile` recovery line.
 pub fn render(c: &RecoveryCounters) -> String {
     format!(
-        "[profile] recovery: {} retries, {} cell failures, {} cache quarantined, {} workers lost, {} cells resumed, {} leases reclaimed, {} cells poisoned",
+        "[profile] recovery: {} retries, {} cell failures, {} cache quarantined, {} workers lost, {} leases reclaimed, {} cells poisoned",
         c.retries,
         c.cell_failures,
         c.cache_quarantined,
         c.workers_lost,
-        c.cells_resumed,
         c.leases_reclaimed,
         c.cells_poisoned,
     )
@@ -123,7 +116,7 @@ mod tests {
             (c.retries, c.cache_quarantined, c.cells_poisoned),
             (1, 1, 1)
         );
-        assert_eq!(c.cell_failures + c.workers_lost + c.cells_resumed, 0);
+        assert_eq!(c.cell_failures + c.workers_lost, 0);
         assert!(c.any());
     }
 }

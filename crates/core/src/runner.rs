@@ -17,11 +17,11 @@
 //!
 //! Everything an engine reads besides its cells lives in one explicit
 //! [`Context`]: the worker count, retries, cell watchdog and default
-//! sampling spec; the persistent [`CellCache`] and checkpoint store and
-//! the run directory; the profile sink, the fault plan, the recovery
-//! counters and the in-process checkpoint memo. Each front end builds one
-//! — `dmdc` from its flags, `dmdc serve` at boot, `dmdc worker` from the
-//! plan it joins — and passes it down. Nothing below it reads process
+//! sampling spec; the persistent [`CellCache`] and checkpoint store; the
+//! profile sink, the fault plan, the recovery counters and the in-process
+//! checkpoint memo. Each front end builds one — `dmdc` from its flags,
+//! `dmdc serve` at boot, `dmdc worker` from the plan it joins — and
+//! passes it down. Nothing below it reads process
 //! state, so two contexts run side by side in one process without seeing
 //! each other. With a cell cache installed, each cell is looked up by
 //! content address before simulating, and a hit returns the previously
@@ -106,7 +106,6 @@ pub struct Context {
     pub(crate) sampling: SampleSpec,
     pub(crate) cache: Option<Arc<CellCache>>,
     pub(crate) checkpoints: Option<Arc<CheckpointStore>>,
-    pub(crate) run_dir: Option<PathBuf>,
     pub(crate) profile: Option<Arc<Mutex<ProfileTotals>>>,
     pub(crate) faults: Option<Arc<FaultPlan>>,
     pub(crate) recovery: Arc<Recovery>,
@@ -116,8 +115,8 @@ pub struct Context {
 impl Context {
     /// An exact, uncached context: the default worker count (the
     /// `DMDC_JOBS` environment variable, else the machine's available
-    /// parallelism), [`DEFAULT_RETRIES`], no watchdog, no stores, no run
-    /// directory, profiling off, no fault plan.
+    /// parallelism), [`DEFAULT_RETRIES`], no watchdog, no stores,
+    /// profiling off, no fault plan.
     pub fn new() -> Context {
         let jobs = std::env::var("DMDC_JOBS")
             .ok()
@@ -135,7 +134,6 @@ impl Context {
             sampling: SampleSpec::EXACT,
             cache: None,
             checkpoints: None,
-            run_dir: None,
             profile: None,
             faults: None,
             recovery: Arc::default(),
@@ -174,8 +172,7 @@ impl Context {
     }
 
     /// Installs a fault plan. Stores take the plan when they are built, so
-    /// it must come before [`Context::with_store`] and
-    /// [`Context::with_cell_cache`].
+    /// it must come before [`Context::with_store`].
     ///
     /// # Panics
     ///
@@ -191,27 +188,16 @@ impl Context {
 
     /// Installs the cell cache and the checkpoint store under `root`
     /// (checkpoints in its `checkpoints/`), both counting quarantines in
-    /// this context's recovery counters and running its fault plan.
+    /// this context's recovery counters and running its fault plan. The
+    /// two stores are every run's crash record: a killed run's finished
+    /// cells and captured checkpoints are there for its resume.
     pub fn with_store(mut self, root: impl Into<PathBuf>) -> Context {
         let root = root.into();
         let store = CheckpointStore(CheckpointStore::new(&root).0.in_context(&self));
         self.checkpoints = Some(Arc::new(store));
-        self.with_cell_cache(root)
-    }
-
-    /// Installs a cell cache at `dir` and no checkpoint store: the
-    /// run-private store of a `--no-cache --run-id` run.
-    pub fn with_cell_cache(mut self, dir: impl Into<PathBuf>) -> Context {
-        self.cache = Some(Arc::new(CellCache(CellCache::new(dir).0.in_context(&self))));
-        self
-    }
-
-    /// Sets the `--run-id` run directory. Sampled cells keep their
-    /// partial-progress envelopes under its `samples/`, so a killed run
-    /// continues mid-cell on resume; completed cells persist through the
-    /// cell cache alone.
-    pub fn with_run_dir(mut self, dir: impl Into<PathBuf>) -> Context {
-        self.run_dir = Some(dir.into());
+        self.cache = Some(Arc::new(CellCache(
+            CellCache::new(root).0.in_context(&self),
+        )));
         self
     }
 
@@ -269,6 +255,8 @@ impl Context {
         totals.ff_insts += sample.ff_insts;
         totals.ff_nanos += sample.ff_nanos;
         totals.compile_nanos += sample.compile_nanos;
+        totals.ff_silent_insts += sample.ff_silent_insts;
+        totals.ff_warmed_insts += sample.ff_warmed_insts;
         totals.ff_blocks += sample.ff_blocks;
         totals.ff_fallback_steps += sample.ff_fallback_steps;
         totals.ckpt_shared += sample.ckpt_shared;
@@ -327,8 +315,9 @@ pub fn take_profile_totals() -> ProfileTotals {
 
 /// One sampled cell's mode breakdown, folded into its context's
 /// [`ProfileTotals`] by the sampling driver when profiling is on: how
-/// many instructions the functional fast-forward covered (and how — whole
-/// compiled blocks vs. single-step fallbacks), how many cycles and
+/// many instructions the functional fast-forward covered (and how —
+/// silently, in whole compiled blocks or single-step fallbacks, or
+/// warming the shadow structures), how many cycles and
 /// commits the detailed windows simulated, and how the host time split
 /// between block compilation, fast-forwarding and detailed windows.
 #[derive(Debug, Clone, Copy, Default)]
@@ -336,6 +325,8 @@ pub(crate) struct SamplingSample {
     pub ff_insts: u64,
     pub ff_nanos: u64,
     pub compile_nanos: u64,
+    pub ff_silent_insts: u64,
+    pub ff_warmed_insts: u64,
     pub ff_blocks: u64,
     pub ff_fallback_steps: u64,
     pub ckpt_shared: u64,
@@ -370,6 +361,13 @@ pub struct ProfileTotals {
     /// Host nanoseconds spent pre-decoding programs into block code,
     /// summed over sampled cells.
     pub compile_nanos: u64,
+    /// Fast-forward instructions emulated silently (before the warming
+    /// horizon), summed. With [`ProfileTotals::ff_warmed_insts`] it adds
+    /// up to [`ProfileTotals::ff_insts`].
+    pub ff_silent_insts: u64,
+    /// Fast-forward instructions that warmed the shadow caches,
+    /// predictor and BTB (inside the warming horizon), summed.
+    pub ff_warmed_insts: u64,
     /// Straight-line blocks / control transfers the silent-run engine
     /// executed whole during fast-forward, summed.
     pub ff_blocks: u64,
@@ -449,9 +447,11 @@ impl ProfileTotals {
             );
             let _ = writeln!(
                 out,
-                "[profile] sampling: fast-forward ran {} compiled blocks + {} single-step fallbacks; block compile {:.2} ms; {} in-memory checkpoint restores",
+                "[profile] sampling: fast-forward ran {} insts silent ({} compiled blocks + {} single-step fallbacks) + {} insts warmed; block compile {:.2} ms; {} in-memory checkpoint restores",
+                self.ff_silent_insts,
                 self.ff_blocks,
                 self.ff_fallback_steps,
+                self.ff_warmed_insts,
                 self.compile_nanos as f64 / 1.0e6,
                 self.ckpt_shared,
             );

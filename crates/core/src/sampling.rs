@@ -21,16 +21,16 @@
 //!    [`SamplingStats`].
 //!
 //! A sampled cell runs under its [`Context`]: the context's checkpoint
-//! store, run directory, in-process checkpoint memo, profile sink and
-//! recovery counters are the only state it touches besides the cell.
+//! store, in-process checkpoint memo, profile sink and recovery counters
+//! are the only state it touches besides the cell.
 //!
-//! Sampled runs are **crash-resumable**: under `--run-id`, after each
-//! checkpoint capture the in-progress state (completed window deltas +
-//! the checkpoint itself) is stored on the stores' sealed-file core,
-//! under `<run>/samples/<key>.ckpt`. A killed run restores the emulator
-//! and warm structures from that envelope and continues; the final cell
-//! is byte-identical to an uninterrupted run because every window derives
-//! deterministically from its checkpoint.
+//! The checkpoint store is also the sampled cell's **crash record**: a
+//! killed cell leaves behind every checkpoint it captured, so a re-run
+//! (`dmdc run --resume`, a restarted daemon, a reissued lease) restores
+//! those windows from the store instead of fast-forwarding to them, and
+//! fast-forwards only from the last one onward. The windows the killed
+//! cell had finished simulate again; each derives deterministically from
+//! its checkpoint, so the cell is byte-identical to an uninterrupted run.
 //!
 //! Fast-forward itself runs through [`BlockCode`] — the program
 //! pre-decoded into straight-line blocks, executed silently with
@@ -59,26 +59,21 @@
 //! key.
 
 use std::collections::{HashMap, VecDeque};
-use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use dmdc_isa::{BlockCode, Emulator, Inst, Program, Retired, SilentObserver, SparseMemory};
 use dmdc_ooo::{
-    to_q32, BranchPredictor, Btb, CacheConfig, CoreConfig, MemoryHierarchy, SampleSpec,
-    SamplingStats, SimError, SimOptions, SimStats, Simulator,
+    to_q32, BranchPredictor, Btb, Cache, CoreConfig, MemoryHierarchy, SampleSpec, SamplingStats,
+    SimError, SimOptions, SimStats, Simulator,
 };
 use dmdc_types::Addr;
 use dmdc_workloads::{Scale, Workload};
 
-use crate::cache::{default_fingerprint, workload_digest, Fnv64, SealedDir};
+use crate::cache::{workload_digest, Fnv64};
 use crate::cell::{CellError, CellResult, FailureKind};
 use crate::experiments::PolicyKind;
-use crate::recovery::RecoveryKind;
 use crate::runner::{Context, SamplingSample};
-
-/// Magic + version line of the persisted partial-progress envelope.
-const SAMPLE_MAGIC: &str = "dmdc-sample v2";
 
 /// Bytes per memory page (must match `SparseMemory`'s page geometry:
 /// 4 KiB pages).
@@ -223,21 +218,18 @@ impl std::fmt::Display for WordRuns {
 
 /// Words per exported warm-state table under `config`, in [`Checkpoint`]
 /// field order (l1i, l1d, l2, bpred, btb): the geometry a checkpoint's
-/// runs must add up to. Mirrors the `export_state` layouts — a cache is
-/// three counters plus a tag and an LRU stamp per line, the predictor its
-/// history plus three tables of 2-bit counters packed eight to a word,
-/// the BTB its clock plus three words per entry.
+/// runs must add up to, as each structure's `state_len` states it.
 fn geometry(config: &CoreConfig) -> [usize; 5] {
-    let cache = |c: &CacheConfig| 3 + 2 * (c.sets() * u64::from(c.ways)) as usize;
-    let packed = |entries: u32| (entries as usize).div_ceil(8);
     [
-        cache(&config.l1i),
-        cache(&config.l1d),
-        cache(&config.l2),
-        1 + packed(config.bimodal_entries)
-            + packed(config.gshare_entries)
-            + packed(config.meta_entries),
-        1 + 3 * config.btb_entries as usize,
+        Cache::state_len(&config.l1i),
+        Cache::state_len(&config.l1d),
+        Cache::state_len(&config.l2),
+        BranchPredictor::state_len(
+            config.bimodal_entries,
+            config.gshare_entries,
+            config.meta_entries,
+        ),
+        Btb::state_len(config.btb_entries),
     ]
 }
 
@@ -394,15 +386,12 @@ impl Checkpoint {
         16 * (page_words + runs) + 8 * 64 + 256
     }
 
-    /// Parses [`Checkpoint::encode`] output from an iterator of lines
-    /// (shared with the partial-progress envelope, whose header precedes
-    /// the checkpoint). Returns `None` on any malformation, including
-    /// warm-state runs that do not add up to `config`'s geometry and page
-    /// word indices past the page.
-    pub fn decode<'a>(
-        lines: &mut impl Iterator<Item = &'a str>,
-        config: &CoreConfig,
-    ) -> Option<Checkpoint> {
+    /// Parses [`Checkpoint::encode`] output. Returns `None` on any
+    /// malformation, including warm-state runs that do not add up to
+    /// `config`'s geometry, page word indices past the page and trailing
+    /// lines.
+    pub fn decode(body: &str, config: &CoreConfig) -> Option<Checkpoint> {
+        let mut lines = body.lines();
         let window = lines.next()?.strip_prefix("window ")?.parse().ok()?;
         let pc = lines.next()?.strip_prefix("pc ")?.parse().ok()?;
         let retired = lines.next()?.strip_prefix("retired ")?.parse().ok()?;
@@ -441,6 +430,9 @@ impl Checkpoint {
         let l2 = tagged("l2", lines.next(), l2)?;
         let bpred = tagged("bpred", lines.next(), bpred)?;
         let btb = tagged("btb", lines.next(), btb)?;
+        if lines.next().is_some() {
+            return None;
+        }
         Some(Checkpoint {
             window,
             pc,
@@ -473,7 +465,9 @@ fn parse_array(body: &str) -> Option<[u64; 32]> {
 // `Checkpoint` values in their compact run form (a full paper-scale
 // suite's 336 checkpoints come to about 7 MB), a miss (or an evicted
 // entry) just re-runs the fast-forward, and the memo dies with the
-// process, so crash resume never depends on it.
+// process, so crash resume never depends on it. It stays because it is
+// the only tier a store-less context has: a `--no-cache` paper-scale
+// fig2 restores 3,024 of its 3,360 windows from it.
 
 /// FIFO-evicted memo cap, counted by `Checkpoint::approx_bytes`. A full
 /// paper-scale suite needs about 7 MB; the cap only guards long-lived
@@ -674,147 +668,115 @@ pub(crate) fn execute_sampled(
 
     let digest = workload_digest(workload);
 
-    // Partial-progress envelope (crash resume): a sealed entry under the
-    // run directory, keyed exactly like the cell itself.
-    let envelope = ctx.run_dir.as_ref().map(|run| {
-        let desc = format!("{config:?}|{policy_kind:?}|{opts:?}");
-        let (dir, key) = partial_envelope(run, default_fingerprint(), digest, &desc);
-        (dir.in_context(ctx), key)
-    });
-
     // Shared checkpoint key: checkpoints are a pure function of the
     // program, config, sampling layout and warming horizon — notably NOT
     // of the policy under test — so the description deliberately omits
     // the policy. Within one cold run the first policy's cells populate
     // the in-process memo (and the store, when installed) and every other
     // policy restores from it; a warm run restores everything and
-    // fast-forwards nothing.
+    // fast-forwards nothing. A killed cell's checkpoints are in the store
+    // too, so its re-run fast-forwards only past the last of them.
     let sample_desc = format!(
         "{config:?}|{:?}|pop {population}|horizon {WARM_HORIZON}",
         opts.sampling
     );
     let store = ctx.checkpoints.as_ref();
 
-    let mut deltas: Vec<Vec<u64>> = Vec::new();
-    let mut pending: Option<Arc<Checkpoint>> = None;
-    if let Some((dir, key)) = &envelope {
-        let partial = dir.load(*key, |b| {
-            decode_partial(b, &opts.sampling, population, config)
-        });
-        if let Some(partial) = partial {
-            deltas = partial.deltas;
-            pending = Some(Arc::new(partial.checkpoint));
-            ctx.recovery.record(RecoveryKind::CellResumed);
-        }
-    }
-
     // The master fast-forward state, built on the first miss. A
-    // checkpoint hit (memo, store or resume envelope) leaves the master
-    // where it is and records in `behind` the checkpoint it must catch up
-    // to; the next miss restores from that first. A warm run never
-    // builds the master, compiles the program or rebuilds a memory image
-    // for it.
+    // checkpoint hit (memo or store) leaves the master where it is and
+    // records in `behind` the checkpoint it must catch up to; the next
+    // miss restores from that first. A warm run never builds the master,
+    // compiles the program or rebuilds a memory image for it.
     let mut master: Option<(Emulator<'_>, Warmer)> = None;
-    let mut behind: Option<Arc<Checkpoint>> = pending.clone();
+    let mut behind: Option<Arc<Checkpoint>> = None;
     let mut code: Option<BlockCode> = None;
 
+    let mut deltas: Vec<Vec<u64>> = Vec::new();
     let mut compile_nanos = 0u64;
     let mut ff_insts = 0u64;
     let mut ff_nanos = 0u64;
+    let mut ff_silent_insts = 0u64;
+    let mut ff_warmed_insts = 0u64;
     let mut ff_blocks = 0u64;
     let mut ff_fallback_steps = 0u64;
     let mut ckpt_shared = 0u64;
     let mut window_nanos = 0u64;
-    let first = deltas.len() as u64;
-    for i in first..layout.windows {
-        let checkpoint = match pending.take() {
-            Some(ck) => ck,
+    for i in 0..layout.windows {
+        // In-process memo first (see `CkptMemo`): a hit means an earlier
+        // cell in this process — typically the same workload under a
+        // different policy — already produced this window's checkpoint.
+        // The shared store next.
+        let mkey = memo_key(digest, &sample_desc, i as u32);
+        let hit = ctx
+            .memo
+            .load(mkey)
+            .inspect(|_| ckpt_shared += 1)
+            .or_else(|| {
+                let s = store?;
+                let key = s.key(digest, &sample_desc, i as u32);
+                let ck = Arc::new(s.load(key, workload.name, i as u32, config)?);
+                ctx.memo.publish(mkey, Arc::clone(&ck));
+                Some(ck)
+            });
+        let checkpoint = match hit {
+            Some(ck) => {
+                behind = Some(Arc::clone(&ck));
+                ck
+            }
             None => {
-                // In-process memo first (see `CkptMemo`): a hit means an
-                // earlier cell in this process — typically the same
-                // workload under a different policy — already produced
-                // this window's checkpoint. The shared store next.
-                let mkey = memo_key(digest, &sample_desc, i as u32);
-                let hit = ctx
-                    .memo
-                    .load(mkey)
-                    .inspect(|_| ckpt_shared += 1)
-                    .or_else(|| {
-                        let s = store?;
-                        let key = s.key(digest, &sample_desc, i as u32);
-                        let ck = Arc::new(s.load(key, workload.name, i as u32, config)?);
-                        ctx.memo.publish(mkey, Arc::clone(&ck));
-                        Some(ck)
-                    });
-                let ck = match hit {
-                    Some(ck) => {
-                        behind = Some(Arc::clone(&ck));
-                        ck
-                    }
-                    None => {
-                        let (mut emu, mut warm) = match behind.take() {
-                            Some(ck) => (
-                                ck.restore_emulator(&workload.program),
-                                Warmer::restore(&ck, config)
-                                    .ok_or_else(|| misfit(workload, config))?,
-                            ),
-                            None => master.take().unwrap_or_else(|| {
-                                (Emulator::new(&workload.program), Warmer::new(config))
-                            }),
-                        };
-                        // Pre-decode the program once per cell; every
-                        // fast-forward stretch executes through the
-                        // compiled blocks.
-                        let code = code.get_or_insert_with(|| {
-                            let t = Instant::now();
-                            let code = BlockCode::compile(&workload.program);
-                            compile_nanos = t.elapsed().as_nanos() as u64;
-                            code
-                        });
-                        let target = layout.checkpoint_at(i);
-                        let t0 = Instant::now();
-                        // Warming horizon: only the last `WARM_HORIZON`
-                        // retired instructions before a checkpoint warm
-                        // the shadow structures; the stretch before that
-                        // emulates silently through the compiled blocks.
-                        // The rule is a pure function of position, so a
-                        // master restored from an earlier checkpoint
-                        // reproduces the same warm state exactly.
-                        let silent_until = target.saturating_sub(WARM_HORIZON);
-                        let ff_err = |e| {
-                            CellError::new(
-                                FailureKind::SimError,
-                                format!("{} fast-forward failed: {e}", workload.name),
-                            )
-                        };
-                        if emu.retired() < silent_until {
-                            ff_insts += silent_until - emu.retired();
-                            let stats = emu.run_silent(code, silent_until).map_err(ff_err)?;
-                            ff_blocks += stats.blocks;
-                            ff_fallback_steps += stats.fallback_steps;
-                        }
-                        // The warmed stretch runs through the observed
-                        // block executor — same events as a
-                        // step()+observe loop, none of the per-step
-                        // `Retired` overhead.
-                        ff_insts += target - emu.retired();
-                        emu.run_observed(code, target, &mut warm).map_err(ff_err)?;
-                        ff_nanos += t0.elapsed().as_nanos() as u64;
-                        let ck = Arc::new(Checkpoint::capture(i as u32, &emu, &warm));
-                        master = Some((emu, warm));
-                        if let Some(s) = store {
-                            s.store(s.key(digest, &sample_desc, i as u32), workload.name, &ck);
-                        }
-                        ctx.memo.publish(mkey, Arc::clone(&ck));
-                        ck
-                    }
+                let (mut emu, mut warm) = match behind.take() {
+                    Some(ck) => (
+                        ck.restore_emulator(&workload.program),
+                        Warmer::restore(&ck, config).ok_or_else(|| misfit(workload, config))?,
+                    ),
+                    None => master
+                        .take()
+                        .unwrap_or_else(|| (Emulator::new(&workload.program), Warmer::new(config))),
                 };
-                if let Some((dir, key)) = &envelope {
-                    dir.store(
-                        *key,
-                        &encode_partial(&opts.sampling, population, &deltas, &ck),
-                    );
+                // Pre-decode the program once per cell; every fast-forward
+                // stretch executes through the compiled blocks.
+                let code = code.get_or_insert_with(|| {
+                    let t = Instant::now();
+                    let code = BlockCode::compile(&workload.program);
+                    compile_nanos = t.elapsed().as_nanos() as u64;
+                    code
+                });
+                let target = layout.checkpoint_at(i);
+                ff_insts += target - emu.retired();
+                let t0 = Instant::now();
+                // Warming horizon: only the last `WARM_HORIZON` retired
+                // instructions before a checkpoint warm the shadow
+                // structures; the stretch before that emulates silently
+                // through the compiled blocks. The rule is a pure function
+                // of position, so a master restored from an earlier
+                // checkpoint reproduces the same warm state exactly.
+                let silent_until = target.saturating_sub(WARM_HORIZON);
+                let ff_err = |e| {
+                    CellError::new(
+                        FailureKind::SimError,
+                        format!("{} fast-forward failed: {e}", workload.name),
+                    )
+                };
+                let from = emu.retired();
+                if from < silent_until {
+                    let stats = emu.run_silent(code, silent_until).map_err(ff_err)?;
+                    ff_silent_insts += emu.retired() - from;
+                    ff_blocks += stats.blocks;
+                    ff_fallback_steps += stats.fallback_steps;
                 }
+                // The warmed stretch runs through the observed block
+                // executor — same events as a step()+observe loop, none of
+                // the per-step `Retired` overhead.
+                let from = emu.retired();
+                emu.run_observed(code, target, &mut warm).map_err(ff_err)?;
+                ff_warmed_insts += emu.retired() - from;
+                ff_nanos += t0.elapsed().as_nanos() as u64;
+                let ck = Arc::new(Checkpoint::capture(i as u32, &emu, &warm));
+                master = Some((emu, warm));
+                if let Some(s) = store {
+                    s.store(s.key(digest, &sample_desc, i as u32), workload.name, &ck);
+                }
+                ctx.memo.publish(mkey, Arc::clone(&ck));
                 ck
             }
         };
@@ -831,9 +793,6 @@ pub(crate) fn execute_sampled(
         window_nanos += t0.elapsed().as_nanos() as u64;
         deltas.push(delta);
     }
-    if let Some((dir, key)) = &envelope {
-        dir.remove(*key);
-    }
     if ctx.profile.is_some() {
         // Export order puts cycles first and committed second (see
         // `SimStats::export_values`), so the per-window deltas carry the
@@ -842,6 +801,8 @@ pub(crate) fn execute_sampled(
             ff_insts,
             ff_nanos,
             compile_nanos,
+            ff_silent_insts,
+            ff_warmed_insts,
             ff_blocks,
             ff_fallback_steps,
             ckpt_shared,
@@ -1097,100 +1058,6 @@ fn t95(df: usize) -> f64 {
     }
 }
 
-/// The deserialized partial-progress envelope: deltas of the windows
-/// completed before the crash plus the checkpoint for the next one.
-struct Partial {
-    deltas: Vec<Vec<u64>>,
-    checkpoint: Checkpoint,
-}
-
-/// Renders the partial-progress envelope body stored after each
-/// checkpoint capture (each store is a durable write, so kill-after
-/// faults can land mid-cell in crash tests).
-fn encode_partial(
-    spec: &SampleSpec,
-    population: u64,
-    deltas: &[Vec<u64>],
-    checkpoint: &Checkpoint,
-) -> String {
-    use std::fmt::Write as _;
-    let mut body = String::new();
-    let _ = writeln!(body, "{SAMPLE_MAGIC} {}", SimStats::EXPORT_LEN);
-    let _ = writeln!(
-        body,
-        "spec {} {} {}",
-        spec.windows, spec.window_insts, spec.warmup_insts
-    );
-    let _ = writeln!(body, "population {population}");
-    let _ = writeln!(body, "done {}", deltas.len());
-    for delta in deltas {
-        let _ = writeln!(body, "delta {}", WordRuns::from_words(delta));
-    }
-    body.push_str(&checkpoint.encode());
-    body
-}
-
-/// Decodes and validates a partial-progress envelope body; any mismatch
-/// (schema, spec, population, window-count consistency) quarantines the
-/// envelope and degrades to a fresh start, never an error.
-fn decode_partial(
-    body: &str,
-    spec: &SampleSpec,
-    population: u64,
-    config: &CoreConfig,
-) -> Option<Partial> {
-    let mut lines = body.lines();
-    let export_len: usize = lines
-        .next()?
-        .strip_prefix(SAMPLE_MAGIC)?
-        .trim()
-        .parse()
-        .ok()?;
-    if export_len != SimStats::EXPORT_LEN {
-        return None;
-    }
-    let spec_line = lines.next()?.strip_prefix("spec ")?;
-    let fields: Vec<u32> = spec_line
-        .split(' ')
-        .map(str::parse)
-        .collect::<Result<_, _>>()
-        .ok()?;
-    if fields != [spec.windows, spec.window_insts, spec.warmup_insts] {
-        return None;
-    }
-    let pop: u64 = lines.next()?.strip_prefix("population ")?.parse().ok()?;
-    if pop != population {
-        return None;
-    }
-    let done: usize = lines.next()?.strip_prefix("done ")?.parse().ok()?;
-    let mut deltas = Vec::new();
-    for _ in 0..done {
-        let runs = WordRuns::parse(lines.next()?.strip_prefix("delta ")?, SimStats::EXPORT_LEN)?;
-        deltas.push(runs.expand(SimStats::EXPORT_LEN)?);
-    }
-    let checkpoint = Checkpoint::decode(&mut lines, config)?;
-    if checkpoint.window as usize != done || lines.next().is_some() {
-        return None;
-    }
-    Some(Partial { deltas, checkpoint })
-}
-
-/// A run directory's partial-progress envelopes (`<run>/samples/<key>.ckpt`)
-/// and one cell's key among them: the cell-cache key formula (simulator
-/// fingerprint ‖ workload digest ‖ cell description), so an envelope a
-/// rebuilt simulator left behind under a reused run id is a miss rather
-/// than a restore.
-fn partial_envelope(
-    run_dir: &Path,
-    fingerprint: String,
-    digest: u64,
-    desc: &str,
-) -> (SealedDir, u64) {
-    let dir = SealedDir::new(run_dir.join("samples"), "ckpt", fingerprint);
-    let key = dir.hasher(digest).write(desc.as_bytes()).finish();
-    (dir, key)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1213,23 +1080,10 @@ mod tests {
     fn checkpoint_encode_decode_roundtrips() {
         let (_w, ck) = warm_checkpoint(5_000);
         let text = ck.encode();
-        let back = Checkpoint::decode(&mut text.lines(), &CoreConfig::config2()).expect("decodes");
+        let back = Checkpoint::decode(&text, &CoreConfig::config2()).expect("decodes");
         assert_eq!(back, ck);
-    }
-
-    #[test]
-    fn geometry_matches_the_exported_tables() {
-        for config in CoreConfig::all() {
-            let warm = Warmer::new(&config);
-            let exported = [
-                warm.hier.l1i.export_state().len(),
-                warm.hier.l1d.export_state().len(),
-                warm.hier.l2.export_state().len(),
-                warm.bpred.export_state().len(),
-                warm.btb.export_state().len(),
-            ];
-            assert_eq!(geometry(&config), exported, "{}", config.name);
-        }
+        let trailing = format!("{text}window 4\n");
+        assert!(Checkpoint::decode(&trailing, &CoreConfig::config2()).is_none());
     }
 
     #[test]
@@ -1274,7 +1128,7 @@ mod tests {
         for runs in &hostile {
             let body = text.replace(l2_line, &format!("l2 {runs}"));
             assert!(
-                Checkpoint::decode(&mut body.lines(), &config).is_none(),
+                Checkpoint::decode(&body, &config).is_none(),
                 "`l2 {runs}` must not decode"
             );
             assert!(WordRuns::parse(runs, l2).is_none(), "`{runs}`");
@@ -1284,11 +1138,11 @@ mod tests {
         assert!(WordRuns::parse(&format!("0*{l2}"), l2).is_some());
         let page = text.lines().find(|l| l.starts_with("page ")).unwrap();
         let body = text.replace(page, &format!("{page} 512:1"));
-        assert!(Checkpoint::decode(&mut body.lines(), &config).is_none());
+        assert!(Checkpoint::decode(&body, &config).is_none());
         // A config with another geometry rejects the checkpoint outright.
         let mut smaller = config.clone();
         smaller.l2.size_bytes /= 2;
-        assert!(Checkpoint::decode(&mut text.lines(), &smaller).is_none());
+        assert!(Checkpoint::decode(&text, &smaller).is_none());
         assert!(ck.warm_state(&smaller).is_none());
     }
 
@@ -1355,31 +1209,6 @@ mod tests {
             "the quarantined file must be gone"
         );
         let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn partial_envelope_is_keyed_on_the_fingerprint() {
-        let run = Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../../target/dmdc-partial-envelope-unit-test");
-        let _ = std::fs::remove_dir_all(&run);
-        let (w, ck) = warm_checkpoint(2_000);
-        let digest = workload_digest(&w);
-        let spec = SampleSpec::default();
-        let deltas = vec![vec![7; SimStats::EXPORT_LEN]; ck.window as usize];
-        let config = CoreConfig::config2();
-        let decode = |b: &str| decode_partial(b, &spec, 50_000, &config);
-        let (dir_a, key_a) = partial_envelope(&run, "fp-a".into(), digest, "desc");
-        dir_a.store(key_a, &encode_partial(&spec, 50_000, &deltas, &ck));
-        let back = dir_a
-            .load(key_a, decode)
-            .expect("same fingerprint restores");
-        assert_eq!((back.deltas, back.checkpoint), (deltas, ck));
-
-        // A rebuilt simulator (bumped fingerprint) resuming the same run id
-        // must not find the old binary's window deltas.
-        let (dir_b, key_b) = partial_envelope(&run, "fp-b".into(), digest, "desc");
-        assert!(dir_b.load(key_b, decode).is_none());
-        let _ = std::fs::remove_dir_all(&run);
     }
 
     #[test]
@@ -1464,6 +1293,31 @@ mod tests {
             s.ipc_mean(),
             s.ipc_ci(),
             exact.stats.ipc()
+        );
+    }
+
+    #[test]
+    fn store_less_context_restores_a_second_policy_from_the_memo() {
+        let w = int_suite(Scale::Default).remove(6); // histo: 24 windows
+        let config = CoreConfig::config2();
+        let ctx = Context::new().with_profile();
+        assert!(ctx.checkpoints().is_none(), "the memo is the only tier");
+        let opts = SimOptions {
+            sampling: SampleSpec::standard(),
+            ..SimOptions::default()
+        };
+        let policies = [PolicyKind::DmdcGlobal, PolicyKind::Baseline];
+        let profiles = policies.map(|policy| {
+            crate::experiments::run_workload_in(&ctx, &w, &config, &policy, opts);
+            ctx.take_profile().expect("profiling is on")
+        });
+        let [first, second] = profiles;
+        assert_eq!(first.ckpt_shared, 0, "a cold memo restores nothing");
+        assert!(first.ff_insts > 0, "the first cell fast-forwards");
+        assert_eq!(
+            (second.ckpt_shared, second.ff_insts),
+            (24, 0),
+            "the second policy restores every window from the memo"
         );
     }
 

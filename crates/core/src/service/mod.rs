@@ -432,13 +432,12 @@ fn metrics_json(manager: &JobManager, ctx: &Context) -> String {
         let r = ctx.recovery();
         out.push_str(&format!(
             ", \"recovery\": {{\"retries\": {}, \"cell_failures\": {}, \
-             \"cache_quarantined\": {}, \"workers_lost\": {}, \"cells_resumed\": {}, \
+             \"cache_quarantined\": {}, \"workers_lost\": {}, \
              \"leases_reclaimed\": {}, \"cells_poisoned\": {}}}",
             r.retries,
             r.cell_failures,
             r.cache_quarantined,
             r.workers_lost,
-            r.cells_resumed,
             r.leases_reclaimed,
             r.cells_poisoned
         ));

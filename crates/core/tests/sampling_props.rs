@@ -119,7 +119,7 @@ proptest! {
         let config = CoreConfig::config2();
         let ck = capture_at(kernel_size, frac * 500, &config);
         let encoded = ck.encode();
-        let decoded = Checkpoint::decode(&mut encoded.lines(), &config).expect("decodes");
+        let decoded = Checkpoint::decode(&encoded, &config).expect("decodes");
         prop_assert_eq!(decoded.window, ck.window);
         prop_assert_eq!(decoded.pc, ck.pc);
         prop_assert_eq!(decoded.retired, ck.retired);
@@ -150,7 +150,7 @@ proptest! {
         let config = CoreConfig::config2();
         let ck = capture_at(kernel_size, frac * 500, &config);
         let encoded = ck.encode();
-        let decoded = Checkpoint::decode(&mut encoded.lines(), &config).expect("decodes");
+        let decoded = Checkpoint::decode(&encoded, &config).expect("decodes");
         let horizon = warmup + measure;
         let (live, live_sum) = window_from(&ck, kernel_size, &config, horizon, Some(warmup));
         let (resumed, resumed_sum) =

@@ -143,6 +143,14 @@ impl BranchPredictor {
         (pc as u64) ^ (history & self.history_mask)
     }
 
+    /// Words in [`BranchPredictor::export_state`] for tables of these
+    /// sizes: the history register plus each table's 2-bit counters
+    /// packed eight to a word.
+    pub fn state_len(bimodal_entries: u32, gshare_entries: u32, meta_entries: u32) -> usize {
+        let packed = |entries: u32| (entries as usize).div_ceil(8);
+        1 + packed(bimodal_entries) + packed(gshare_entries) + packed(meta_entries)
+    }
+
     /// Flattens the trained state (history register + the three counter
     /// tables, eight 2-bit counters packed per word) into a fixed-order
     /// word vector for checkpoint serialization.
@@ -163,8 +171,8 @@ impl BranchPredictor {
             self.gshare.counters.len(),
             self.meta.counters.len(),
         ];
-        let expect = 1 + lens.iter().map(|n| n.div_ceil(8)).sum::<usize>();
-        if words.len() != expect {
+        let [bimodal, gshare, meta] = lens.map(|n| n as u32);
+        if words.len() != BranchPredictor::state_len(bimodal, gshare, meta) {
             return None;
         }
         let mut at = 1;
@@ -283,11 +291,17 @@ impl Btb {
         self.entries[base + victim] = Some((pc, target, self.tick));
     }
 
+    /// Words in [`Btb::export_state`] for a BTB of `entries` entries: the
+    /// LRU clock plus three words per entry.
+    pub fn state_len(entries: u32) -> usize {
+        1 + 3 * entries as usize
+    }
+
     /// Flattens the BTB (LRU clock + three words per entry: valid flag,
     /// packed tag/target, recency) into a fixed-order word vector for
     /// checkpoint serialization.
     pub fn export_state(&self) -> Vec<u64> {
-        let mut v = Vec::with_capacity(1 + 3 * self.entries.len());
+        let mut v = Vec::with_capacity(Btb::state_len(self.entries.len() as u32));
         v.push(self.tick);
         for e in &self.entries {
             match e {
@@ -305,7 +319,7 @@ impl Btb {
     /// Restores state captured by [`Btb::export_state`]. Returns `None`
     /// (leaving the BTB untouched) on a geometry mismatch.
     pub fn import_state(&mut self, words: &[u64]) -> Option<()> {
-        if words.len() != 1 + 3 * self.entries.len() {
+        if words.len() != Btb::state_len(self.entries.len() as u32) {
             return None;
         }
         self.tick = words[0];

@@ -93,6 +93,12 @@ impl Cache {
         (0..self.ways).any(|w| self.tags[base + w] == tag)
     }
 
+    /// Words in [`Cache::export_state`] for a cache of `config`'s
+    /// geometry: three counters plus a tag and an LRU stamp per line.
+    pub fn state_len(config: &CacheConfig) -> usize {
+        3 + 2 * (config.sets() * u64::from(config.ways)) as usize
+    }
+
     /// Flattens the warm state (LRU clock, counters, tags, recency) into a
     /// fixed-order word vector for checkpoint serialization.
     /// [`Cache::import_state`] is the exact inverse for a cache of the
@@ -199,6 +205,36 @@ mod tests {
             line_bytes: 64,
             latency: 2,
         })
+    }
+
+    #[test]
+    fn geometry_matches_the_exported_tables() {
+        use crate::bpred::{BranchPredictor, Btb};
+        for config in CoreConfig::all() {
+            for cache in [config.l1i, config.l1d, config.l2] {
+                let exported = Cache::new(cache).export_state().len();
+                assert_eq!(Cache::state_len(&cache), exported, "{}", config.name);
+            }
+            let (bimodal, gshare, meta) = (
+                config.bimodal_entries,
+                config.gshare_entries,
+                config.meta_entries,
+            );
+            let bpred = BranchPredictor::new(bimodal, gshare, config.gshare_history_bits, meta);
+            assert_eq!(
+                BranchPredictor::state_len(bimodal, gshare, meta),
+                bpred.export_state().len(),
+                "{}",
+                config.name
+            );
+            let btb = Btb::new(config.btb_entries);
+            assert_eq!(
+                Btb::state_len(config.btb_entries),
+                btb.export_state().len(),
+                "{}",
+                config.name
+            );
+        }
     }
 
     #[test]

@@ -156,9 +156,9 @@ branch-predictor warming, periodic checkpoints, short detailed windows,
 population estimates with 95% confidence intervals (reported as
 `value ±ci` in every emitter). --sampled opts any scale in; --exact is
 the escape hatch forcing full detailed simulation at any scale. Sampled
-and exact runs never share cache entries, and a sampled run with
---run-id checkpoints windows so `dmdc run --resume` continues mid-cell
-after a crash.
+and exact runs never share cache entries. Checkpoints persist in the
+store, so `dmdc run --resume` of a killed sampled run restores the
+windows it had reached instead of fast-forwarding to them again.
 
 `dmdc serve` runs the registry as a long-lived HTTP/JSON daemon: clients
 POST jobs (one cell or a whole experiment), poll their status, and fetch
@@ -300,10 +300,10 @@ fn base_context(flags: &Flags) -> Result<Context, String> {
 /// store under `target/dmdc-cache/` (unless `--no-cache`), and with
 /// `--run-id` the run's record under `target/dmdc-runs/<run-id>/`: the
 /// sealed manifest (command line plus simulator fingerprint) that `dmdc
-/// run --resume` re-dispatches, and the run directory sampled cells keep
-/// their partial-progress envelopes in. Completed cells persist through
-/// the cell store alone — the shared one, or under `--no-cache` a
-/// run-private store at `<run>/journal/` — so a resume finds them there.
+/// run --resume` re-dispatches. The stores are the crash record:
+/// completed cells and sampled cells' checkpoints persist in the shared
+/// store, or under `--no-cache` in a run-private store at
+/// `<run>/journal/`, so a resume finds them there.
 fn run_context(
     command: &str,
     args: &[String],
@@ -334,9 +334,9 @@ fn run_context(
         let private = run_dir.join("journal");
         std::fs::create_dir_all(&private)
             .map_err(|e| format!("cannot create run store {}: {e}", private.display()))?;
-        ctx = ctx.with_cell_cache(private);
+        ctx = ctx.with_store(private);
     }
-    Ok(ctx.with_run_dir(run_dir))
+    Ok(ctx)
 }
 
 /// Prints the context's profile totals — plus the cell cache's and

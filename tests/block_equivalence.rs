@@ -187,7 +187,7 @@ fn experiment_json_and_csv_match_goldens() {
     let cache_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("target")
         .join("dmdc-cache-format-golden-test");
-    let ctx = Context::new().with_cell_cache(cache_dir);
+    let ctx = Context::new().with_store(cache_dir);
     let exp = registry()
         .iter()
         .find(|e| e.id() == "fig2")

@@ -1,7 +1,7 @@
 //! Crash-safe checkpoint/resume, end to end against the real binary:
-//! a suite run killed mid-flight (deterministically, via the injected
-//! `kill-after` fault) must resume with `dmdc run --resume <run-id>` and
-//! produce stdout byte-identical to an uninterrupted run.
+//! a suite or sampled run killed mid-flight (deterministically, via the
+//! injected `kill-after` fault) must resume with `dmdc run --resume
+//! <run-id>` and produce stdout byte-identical to an uninterrupted run.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -151,9 +151,20 @@ fn killed_suite_resumes_byte_identical() {
     }
 }
 
-#[test]
-fn killed_sampled_run_resumes_byte_identical() {
-    let wd = workdir("dmdc-sampled-crash-wd");
+/// The number just before ` {what}` on the first `[profile]` line that
+/// starts with `prefix` and mentions it.
+fn profile_count(err: &str, prefix: &str, what: &str) -> u64 {
+    let what = format!(" {what}");
+    err.lines()
+        .filter(|l| l.starts_with(prefix))
+        .find_map(|l| l[..l.find(&what)?].split_whitespace().last()?.parse().ok())
+        .unwrap_or_else(|| panic!("no `{prefix} … N{what}` in stderr:\n{err}"))
+}
+
+/// Kill a sampled histo run (with `store_flags` added) after each of its
+/// sealed writes in turn and resume it: every resume must restore the
+/// checkpoints the killed run sealed and reproduce the clean run's bytes.
+fn assert_sampled_run_resumes_at_every_kill_point(label: &str, store_flags: &[&str]) {
     const RUN: &[&str] = &[
         "run",
         "--workload",
@@ -165,12 +176,26 @@ fn killed_sampled_run_resumes_byte_identical() {
         "--sampled",
         "--profile",
     ];
+    // A cold sampled histo cell seals one checkpoint per window and
+    // nothing else: `run` bypasses the cell cache.
+    const WRITES: u64 = 24;
+    const CKPT: &str = "[profile] checkpoint store:";
+    const SAMPLING: &str = "[profile] sampling:";
 
-    // The uninterrupted reference run (no run id involved).
-    let clean = dmdc(&wd, RUN);
+    let run = |wd: &Path, run_id: &str, kill_after: u64| {
+        let kill = format!("kill-after={kill_after}");
+        let flags = ["--run-id", run_id, "--inject-faults", kill.as_str()];
+        dmdc(wd, &[RUN, store_flags, &flags[..]].concat())
+    };
+
+    // The clean run, on a cold store in its own work directory, armed
+    // to die at write W + 1: finishing shows it makes at most W
+    // sealed writes, and the kill at k = W below shows at least W.
+    let clean_wd = workdir(&format!("dmdc-sampled-kill-{label}-clean"));
+    let clean = run(&clean_wd, "clean", WRITES + 1);
     assert!(
         clean.status.success(),
-        "clean sampled run failed: {}",
+        "{label}: the clean run must make at most {WRITES} sealed writes: {}",
         stderr(&clean)
     );
     let reference = stdout(&clean);
@@ -178,118 +203,80 @@ fn killed_sampled_run_resumes_byte_identical() {
         reference.contains("sampled") && reference.contains("estimates"),
         "expected a sampled stat block, got: {reference}"
     );
-
-    // The same run under a run id, aborted after 6 of its 24 per-window
-    // partial-progress envelopes have been sealed — mid-cell, so resume
-    // must continue from the envelope, not restart from scratch.
-    let mut crash_args = RUN.to_vec();
-    crash_args.extend([
-        "--run-id",
-        "sampled-kill",
-        "--inject-faults",
-        "kill-after=6",
-    ]);
-    let crashed = dmdc(&wd, &crash_args);
-    assert!(
-        !crashed.status.success(),
-        "the injected abort must kill the run"
-    );
-    let run_dir = wd.join("target/dmdc-runs/sampled-kill");
-    let envelopes = std::fs::read_dir(run_dir.join("samples"))
-        .expect("samples dir exists")
-        .count();
-    assert!(
-        envelopes >= 1,
-        "the crashed cell must leave its partial-progress envelope behind"
-    );
-
-    // Resume: reload the envelope, run only the remaining windows, and
-    // reproduce the reference bytes exactly.
-    let resumed = dmdc(&wd, &["run", "--resume", "sampled-kill"]);
-    assert!(
-        resumed.status.success(),
-        "resume failed: {}",
-        stderr(&resumed)
-    );
-    assert!(
-        stderr(&resumed).contains("1 cells resumed"),
-        "resume must report the mid-cell continuation, got: {}",
-        stderr(&resumed)
-    );
+    let err = stderr(&clean);
+    let stored = profile_count(&err, "[profile] cell cache:", "stored")
+        + profile_count(&err, CKPT, "stored");
+    assert_eq!(stored, WRITES, "{label}: the stores count every write");
+    // The profile accounts for every instruction fast-forwarded.
+    let clean_ff = profile_count(&err, SAMPLING, "insts fast-forwarded");
+    assert!(clean_ff > 0, "{label}: a cold run fast-forwards");
     assert_eq!(
-        stdout(&resumed),
-        reference,
-        "resumed sampled run must be byte-identical to the uninterrupted run"
+        profile_count(&err, SAMPLING, "insts silent")
+            + profile_count(&err, SAMPLING, "insts warmed"),
+        clean_ff,
+        "{label}: silent + warmed instructions must add up to the fast-forward"
     );
+
+    let wd = workdir(&format!("dmdc-sampled-kill-{label}"));
+    for k in 1..=WRITES {
+        let _ = std::fs::remove_dir_all(wd.join("target"));
+        let run_id = format!("kill-{k}");
+        let crashed = run(&wd, &run_id, k);
+        assert!(
+            !crashed.status.success(),
+            "{label}: kill-after={k} must kill the run"
+        );
+
+        // The resume restores the k checkpoints the killed run sealed
+        // and fast-forwards from the last of them; the windows the
+        // killed run finished simulate again, deterministically.
+        let resumed = dmdc(&wd, &["run", "--resume", &run_id]);
+        assert!(
+            resumed.status.success(),
+            "{label}: resume after kill-after={k} failed: {}",
+            stderr(&resumed)
+        );
+        assert_eq!(
+            stdout(&resumed),
+            reference,
+            "{label}: resume after kill-after={k} must be byte-identical"
+        );
+        let err = stderr(&resumed);
+        assert_eq!(
+            (
+                profile_count(&err, CKPT, "hits"),
+                profile_count(&err, CKPT, "stored")
+            ),
+            (k, WRITES - k),
+            "{label}: resume after kill-after={k}: checkpoint hits and stores"
+        );
+        let ff = profile_count(&err, SAMPLING, "insts fast-forwarded");
+        if k == WRITES {
+            assert_eq!(ff, 0, "{label}: a store-warm resume must not fast-forward");
+        } else {
+            assert!(
+                ff < clean_ff,
+                "{label}: resume after kill-after={k} fast-forwarded {ff}, \
+                 not fewer than the clean run's {clean_ff}"
+            );
+        }
+        let samples = wd.join(format!("target/dmdc-runs/{run_id}/samples"));
+        assert!(!samples.exists(), "{label}: {} appeared", samples.display());
+    }
 }
 
+/// Under `--no-cache` the run keeps its checkpoints in the run-private
+/// store under `<run>/journal/`; a run killed mid-cell resumes from them.
+#[test]
+fn killed_sampled_run_resumes_byte_identical() {
+    assert_sampled_run_resumes_at_every_kill_point("no-cache", &["--no-cache"]);
+}
+
+/// Over the shared store a resume restores every checkpoint the killed
+/// run sealed, and fast-forwards nothing once all of them are there.
 #[test]
 fn killed_sampled_resume_prefers_shared_checkpoint_store() {
-    let wd = workdir("dmdc-sampled-store-crash-wd");
-    const RUN: &[&str] = &[
-        "run",
-        "--workload",
-        "histo",
-        "--policy",
-        "dmdc-global",
-        "--scale",
-        "default",
-        "--sampled",
-        "--profile",
-    ];
-
-    // A clean run populates the shared checkpoint store under
-    // target/dmdc-cache/checkpoints/ — one sealed entry per window.
-    let warmup = dmdc(&wd, RUN);
-    assert!(
-        warmup.status.success(),
-        "warmup failed: {}",
-        stderr(&warmup)
-    );
-    let reference = stdout(&warmup);
-    assert!(
-        stderr(&warmup).contains("24 stored"),
-        "warmup must populate the store, got: {}",
-        stderr(&warmup)
-    );
-
-    // The same run under a run id, killed mid-cell after 6 windows.
-    let mut crash_args = RUN.to_vec();
-    crash_args.extend(["--run-id", "store-kill", "--inject-faults", "kill-after=6"]);
-    let crashed = dmdc(&wd, &crash_args);
-    assert!(
-        !crashed.status.success(),
-        "the injected abort must kill the run"
-    );
-
-    // Resume re-dispatches the recorded argv, which re-installs the
-    // shared store: windows beyond the partial-progress envelope restore
-    // from it, so the resume fast-forwards nothing — and the report is
-    // still byte-identical to the uninterrupted run.
-    let resumed = dmdc(&wd, &["run", "--resume", "store-kill"]);
-    assert!(
-        resumed.status.success(),
-        "resume failed: {}",
-        stderr(&resumed)
-    );
-    assert_eq!(
-        stdout(&resumed),
-        reference,
-        "store-warm resume must be byte-identical to the uninterrupted run"
-    );
-    let err = stderr(&resumed);
-    assert!(
-        err.contains("0 insts fast-forwarded"),
-        "a store-warm resume must not fast-forward, got: {err}"
-    );
-    let store_line = err
-        .lines()
-        .find(|l| l.starts_with("[profile] checkpoint store:"))
-        .unwrap_or_else(|| panic!("no checkpoint-store profile line in: {err}"));
-    assert!(
-        store_line.contains("0 misses, 0 stored, 0 corrupt") && !store_line.contains(": 0 hits"),
-        "every remaining window must restore from the shared store, got: {store_line}"
-    );
+    assert_sampled_run_resumes_at_every_kill_point("shared", &[]);
 }
 
 #[test]

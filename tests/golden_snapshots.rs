@@ -28,7 +28,7 @@ fn every_registry_experiment_matches_its_golden_snapshot() {
     let cache_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("target")
         .join("dmdc-cache-golden-test");
-    let ctx = Context::new().with_cell_cache(cache_dir);
+    let ctx = Context::new().with_store(cache_dir);
 
     let golden_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
