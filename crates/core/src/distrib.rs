@@ -1,22 +1,24 @@
 //! Distributed suite execution: a lease-based coordinator/worker fleet
 //! over the shared content-addressed cell store.
 //!
-//! The coordinator publishes an experiment's cell list as leases; `dmdc
-//! worker --connect <addr>` processes claim them over the PR9 HTTP
-//! layer, execute cells through the ordinary [`Engine`], publish results
-//! into the shared [`CellCache`], and heartbeat while they work. The
-//! design follows the detectable-recoverability discipline the roadmap
-//! cites: every operation is idempotent and keyed by durable state (the
+//! The coordinator publishes the cell list of a suite or experiment
+//! [`Work`] as leases; `dmdc worker --connect <addr>` processes claim
+//! them over the HTTP layer, execute cells through the ordinary
+//! [`Engine`], publish results into the shared [`CellCache`], and
+//! heartbeat while they work. The design follows the
+//! detectable-recoverability discipline the roadmap cites: every
+//! operation is idempotent and keyed by durable state (the
 //! content-addressed cell key), so a worker dying at any instant costs
 //! nothing but a forfeited lease.
 //!
 //! The protocol, in one screen:
 //!
-//! * **`GET /plan`** — the plan descriptor (experiment id or suite
-//!   parameters), the simulator fingerprint (a mismatched worker refuses
-//!   to participate, exactly like `--resume` does) and the shared cache
-//!   directory. Workers rebuild the *identical* spec list locally from
-//!   the descriptor — specs never travel over the wire.
+//! * **`GET /plan`** — the [`Work`] in its one JSON form (the same
+//!   document a daemon job's `spec` is), the simulator fingerprint (a
+//!   mismatched worker refuses to participate, exactly like `--resume`
+//!   does) and the shared cache directory. Workers rebuild the
+//!   *identical* spec list locally with [`Work::plan`] — specs never
+//!   travel over the wire.
 //! * **`POST /claim`** — a lease `{index, attempt, ttl_ms}`, or `{done}`.
 //!   When nothing is claimable the request long-polls on a condvar and
 //!   answers `{wait}` only if no cell turns claimable before it times out;
@@ -32,8 +34,8 @@
 //! Expired leases (missed heartbeats, kill -9, hangs) are reclaimed and
 //! re-issued with bounded retries and exponential backoff; a cell that
 //! outlives [`LeaseConfig::poison_after`] distinct dying workers (or the
-//! attempt bound) is **poisoned** — quarantined through the PR5 failure
-//! table instead of wedging the run. When the whole fleet goes quiet for
+//! attempt bound) is **poisoned** — quarantined as a structured cell
+//! failure instead of wedging the run. When the whole fleet goes quiet for
 //! a grace period the coordinator degrades to local serial execution on
 //! its own thread, so the run terminates with zero workers, all workers
 //! lost, or anything in between.
@@ -42,8 +44,8 @@
 //! [`Engine::try_run_cell`] in spec order — the store, then (for
 //! anything the fleet failed to publish) local simulation — so the
 //! output is byte-identical to the single-process path by construction:
-//! reducers consume the same verified [`CellResult`]s in the same order,
-//! wherever they were computed.
+//! [`Work::report`] consumes the same verified [`CellResult`]s in the
+//! same order, wherever they were computed.
 //!
 //! The coordinator keeps its lease table in memory only. The run's crash
 //! record is the cell store: a re-run's pre-sweep marks every cell already
@@ -56,14 +58,10 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use dmdc_ooo::{SampleSpec, SimOptions};
-use dmdc_workloads::{full_suite, Scale};
-
 use crate::cache::{default_fingerprint, workload_digest, CellCache};
 use crate::cell::{CellFailure, CellResult, FailureKind};
-use crate::experiments::{parse_config, parse_scale, scale_token, Experiment, Plan, PolicyKind};
+use crate::experiments::Work;
 use crate::recovery::{Recovery, RecoveryKind};
-use crate::report::Report;
 use crate::runner::{Context, Engine};
 use crate::service::http;
 use crate::service::json::{self, Json};
@@ -116,134 +114,6 @@ impl Default for DistribOptions {
             grace: Duration::from_secs(10),
             worker_faults: None,
         }
-    }
-}
-
-/// How a worker rebuilds the coordinator's exact cell list without specs
-/// ever crossing the wire: both ends run the same binary (enforced by
-/// the fingerprint check), so planning is deterministic from this small
-/// descriptor.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PlanDescriptor {
-    /// A registry experiment at a scale.
-    Experiment {
-        /// Registry id (`fig2`, `table6`, ...).
-        id: String,
-        /// Workload scale.
-        scale: Scale,
-        /// Whether the coordinator's context samples.
-        sampled: bool,
-    },
-    /// The `dmdc suite` matrix: every workload under one policy/config.
-    Suite {
-        /// Dependence-checking policy.
-        policy: PolicyKind,
-        /// Machine configuration (1, 2 or 3).
-        config: u8,
-        /// Workload scale.
-        scale: Scale,
-        /// Whether the coordinator's context samples.
-        sampled: bool,
-    },
-}
-
-impl PlanDescriptor {
-    /// Serializes the descriptor for `GET /plan`.
-    pub fn to_json(&self) -> String {
-        match self {
-            PlanDescriptor::Experiment { id, scale, sampled } => format!(
-                "{{\"kind\": \"experiment\", \"id\": \"{}\", \"scale\": \"{}\", \
-                 \"sampled\": {sampled}}}",
-                json::escape(id),
-                scale_token(*scale)
-            ),
-            PlanDescriptor::Suite {
-                policy,
-                config,
-                scale,
-                sampled,
-            } => format!(
-                "{{\"kind\": \"suite\", \"policy\": \"{}\", \"config\": {config}, \
-                 \"scale\": \"{}\", \"sampled\": {sampled}}}",
-                json::escape(&policy.token()),
-                scale_token(*scale)
-            ),
-        }
-    }
-
-    /// Parses a descriptor back from the `GET /plan` document.
-    pub fn from_json(doc: &Json) -> Result<PlanDescriptor, String> {
-        let kind = doc
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or("plan descriptor has no `kind`")?;
-        let scale = parse_scale(
-            doc.get("scale")
-                .and_then(Json::as_str)
-                .ok_or("plan descriptor has no `scale`")?,
-        )?;
-        let sampled = doc
-            .get("sampled")
-            .and_then(Json::as_bool)
-            .ok_or("plan descriptor has no `sampled`")?;
-        match kind {
-            "experiment" => Ok(PlanDescriptor::Experiment {
-                id: doc
-                    .get("id")
-                    .and_then(Json::as_str)
-                    .ok_or("experiment descriptor has no `id`")?
-                    .to_string(),
-                scale,
-                sampled,
-            }),
-            "suite" => {
-                let policy = PolicyKind::parse_token(
-                    doc.get("policy")
-                        .and_then(Json::as_str)
-                        .ok_or("suite descriptor has no `policy`")?,
-                )?;
-                let config = match doc.get("config").and_then(Json::as_u64) {
-                    Some(c @ 1..=3) => c as u8,
-                    _ => return Err("suite descriptor `config` must be 1, 2 or 3".to_string()),
-                };
-                Ok(PlanDescriptor::Suite {
-                    policy,
-                    config,
-                    scale,
-                    sampled,
-                })
-            }
-            other => Err(format!("unknown plan descriptor kind `{other}`")),
-        }
-    }
-
-    /// Rebuilds the cell matrix this descriptor names, with its sampling
-    /// mode applied to every variant. Deterministic: coordinator and
-    /// workers get byte-identical spec lists.
-    pub fn plan(&self) -> Result<Plan, String> {
-        let plan = match self {
-            PlanDescriptor::Experiment { id, scale, .. } => crate::experiments::find_experiment(id)
-                .ok_or_else(|| format!("unknown experiment `{id}`"))?
-                .plan(*scale),
-            PlanDescriptor::Suite {
-                policy,
-                config,
-                scale,
-                ..
-            } => {
-                let config = parse_config(&config.to_string())?;
-                let variants = vec![(config, policy.clone(), SimOptions::default())];
-                Plan::matrix(full_suite(*scale), variants)
-            }
-        };
-        let (PlanDescriptor::Experiment { sampled, .. } | PlanDescriptor::Suite { sampled, .. }) =
-            self;
-        let spec = if *sampled {
-            SampleSpec::standard()
-        } else {
-            SampleSpec::EXACT
-        };
-        Ok(plan.sampled(spec))
     }
 }
 
@@ -656,21 +526,22 @@ fn parse_failure_kind(label: &str) -> FailureKind {
     }
 }
 
-/// Executes a plan across a worker fleet and returns `(cells, failures)`
-/// in exactly the shape of [`Engine::run_all_recovered`], so suite and
-/// experiment reducers downstream cannot tell the two paths apart. The
-/// fleet publishes into `ctx`'s cell cache; reclaims and poisonings count
-/// in `ctx`'s recovery counters.
+/// Executes `work`'s plan across a worker fleet and returns `(cells,
+/// failures)` in exactly the shape of [`Engine::run_all_recovered`], so
+/// [`Work::report`] cannot tell the two paths apart
+/// ([`experiments::execute`](crate::experiments::execute) calls this
+/// under `--distrib`). The fleet publishes into `ctx`'s cell cache;
+/// reclaims and poisonings count in `ctx`'s recovery counters.
 pub fn execute_plan_distributed(
     ctx: &Context,
-    desc: &PlanDescriptor,
+    work: &Work,
     opts: &DistribOptions,
 ) -> Result<(Vec<Option<CellResult>>, Vec<CellFailure>), String> {
     let cache = ctx
         .cache()
         .cloned()
         .ok_or("distributed execution publishes through the cell cache (drop --no-cache)")?;
-    let plan = desc.plan()?;
+    let plan = work.plan()?;
     let specs = plan.specs();
     let engine = Engine::new(ctx, &plan.workloads);
 
@@ -714,7 +585,7 @@ pub fn execute_plan_distributed(
         json::escape(&default_fingerprint()),
         json::escape(&cache_dir.display().to_string()),
         specs.len(),
-        desc.to_json().trim_end()
+        work.to_json()
     );
 
     let listener =
@@ -962,24 +833,6 @@ pub fn execute_plan_distributed(
     Ok((cells, failures))
 }
 
-/// Runs one registry experiment across a worker fleet: the distributed
-/// twin of [`crate::experiments::run_experiment`], producing the
-/// byte-identical [`Report`].
-pub fn run_experiment_distributed(
-    ctx: &Context,
-    exp: &dyn Experiment,
-    scale: Scale,
-    opts: &DistribOptions,
-) -> Result<Report, String> {
-    let desc = PlanDescriptor::Experiment {
-        id: exp.id().to_string(),
-        scale,
-        sampled: ctx.sampling().enabled(),
-    };
-    let (cells, failures) = execute_plan_distributed(ctx, &desc, opts)?;
-    Ok(crate::experiments::report_of(exp, cells, failures))
-}
-
 /// Spawns one `dmdc worker --connect` child, stderr shared. Its stdout
 /// is a pipe the coordinator drains and discards (stdout belongs to the
 /// coordinator's report); the pipe closing is how the reap sees the
@@ -1194,9 +1047,9 @@ pub fn run_worker(ctx: &Context, addr: &str, id: &str) -> Result<(), String> {
         .get("cache_dir")
         .and_then(Json::as_str)
         .ok_or("/plan document has no cache_dir")?;
-    let desc = PlanDescriptor::from_json(doc.get("plan").ok_or("/plan document has no plan")?)?;
-    // The descriptor carries the sampling mode into every spec.
-    let plan = desc.plan()?;
+    let work = Work::from_json(doc.get("plan").ok_or("/plan document has no plan")?)?;
+    // The work carries the sampling mode into every spec.
+    let plan = work.plan()?;
     let specs = plan.specs();
     let ctx = ctx.clone().with_store(Path::new(cache_dir));
     let engine = Engine::new(&ctx, &plan.workloads);
@@ -1331,7 +1184,6 @@ pub fn run_worker(ctx: &Context, addr: &str, id: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::RunSpec;
 
     fn cfg(ttl: u64, poison: u32) -> LeaseConfig {
         LeaseConfig {
@@ -1503,50 +1355,5 @@ mod tests {
         // The table holds the transition that ended the run.
         assert_eq!(*coord.lock().state(0), CellState::Failed);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn descriptor_roundtrips_through_json() {
-        let descs = [
-            PlanDescriptor::Experiment {
-                id: "fig2".to_string(),
-                scale: Scale::Smoke,
-                sampled: false,
-            },
-            PlanDescriptor::Suite {
-                policy: PolicyKind::DmdcGlobal,
-                config: 2,
-                scale: Scale::Default,
-                sampled: true,
-            },
-        ];
-        for d in descs {
-            let doc = json::parse(&d.to_json()).unwrap();
-            assert_eq!(PlanDescriptor::from_json(&doc).unwrap(), d);
-        }
-        assert!(PlanDescriptor::from_json(&json::parse("{}").unwrap()).is_err());
-    }
-
-    #[test]
-    fn suite_descriptor_plans_the_suite_matrix() {
-        let d = PlanDescriptor::Suite {
-            policy: PolicyKind::Baseline,
-            config: 2,
-            scale: Scale::Smoke,
-            sampled: false,
-        };
-        let plan = d.plan().unwrap();
-        assert_eq!(plan.variants.len(), 1);
-        assert_eq!(plan.workloads.len(), full_suite(Scale::Smoke).len());
-        // The spec list matches what `dmdc suite` builds by hand.
-        let config = dmdc_ooo::CoreConfig::config2();
-        let by_hand: Vec<RunSpec> = (0..plan.workloads.len())
-            .map(|i| RunSpec::new(i, &config, PolicyKind::Baseline))
-            .collect();
-        let planned = plan.specs();
-        assert_eq!(planned.len(), by_hand.len());
-        for (a, b) in planned.iter().zip(&by_hand) {
-            assert_eq!(a.desc(), b.desc());
-        }
     }
 }

@@ -9,6 +9,10 @@
 //! *reduces* the uniform [`CellResult`] records to a typed table,
 //! *emitted* as text, JSON or CSV through [`Report`].
 //!
+//! What to run — one cell, the suite matrix or a registry experiment —
+//! is one [`Work`] descriptor for the CLI, the daemon and the worker
+//! fleet alike, and [`execute`] is its one plan → run → report path.
+//!
 //! The `*_on` variants take an explicit workload slice so tests (and
 //! impatient users) can run reduced sets; the registry entries plan the
 //! full suite at the requested scale. Both funnel through the same
@@ -23,12 +27,17 @@
 
 use dmdc_energy::StructureGeometry;
 use dmdc_isa::Emulator;
-use dmdc_ooo::{BaselinePolicy, CoreConfig, MemDepPolicy, SampleSpec, SimOptions, Simulator};
+use dmdc_ooo::{
+    BaselinePolicy, CoreConfig, MemDepPolicy, SampleSpec, SimOptions, SimResult, Simulator,
+};
 use dmdc_workloads::{full_suite, Group, Scale, SyntheticKernel, Workload};
 
+use crate::cache::{default_fingerprint, Fnv64};
 use crate::cell::{CellError, CellFailure, FailureKind};
-use crate::report::{GroupStat, Report};
+use crate::distrib::DistribOptions;
+use crate::report::{GroupStat, Report, Table};
 use crate::runner::{Context, Engine, RunSpec};
+use crate::service::json::{self, Json};
 use crate::{BloomPolicy, CheckingQueuePolicy, DmdcConfig, DmdcPolicy, Interleave, YlaPolicy};
 
 mod defs;
@@ -363,40 +372,291 @@ pub fn find_workload(name: &str, scale: Scale) -> Result<Workload, String> {
         .ok_or_else(|| format!("unknown workload `{name}` (see `dmdc list`)"))
 }
 
-/// Plans one registry experiment at `scale` under `ctx`'s sampling spec
-/// (for every variant without one of its own).
-pub(crate) fn plan_experiment(ctx: &Context, exp: &dyn Experiment, scale: Scale) -> Plan {
-    exp.plan(scale).sampled(ctx.sampling())
+/// What to run: one cell, the `dmdc suite` matrix or a registry
+/// experiment, at a scale, sampled or exact. It is the one description
+/// of work every front end exchanges: `dmdc suite`/`experiment`/`submit`
+/// build it from their flags, `dmdc serve` parses it from a `POST /jobs`
+/// body and keys coalescing on it, and the `--distrib` coordinator
+/// publishes it as `GET /plan`, from which every worker rebuilds the
+/// identical cell list. [`Work::plan`] plans it, [`execute`] runs it and
+/// [`Work::report`] renders its cells.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Work {
+    /// What the work simulates.
+    pub kind: WorkKind,
+    /// Workload scale.
+    pub scale: Scale,
+    /// SMARTS-style sampled simulation instead of exact, for every cell.
+    pub sampled: bool,
 }
 
-/// Runs one registry experiment end to end (plan → run → reduce) at the
-/// given scale under `ctx`: its sampling spec, worker count, stores and
-/// retry policy.
+/// The three kinds of [`Work`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum WorkKind {
+    /// One (workload, policy, config) cell.
+    Cell {
+        /// Workload name (`histo`, `saxpy`, `synthetic`, ...).
+        workload: String,
+        /// Dependence-checking design.
+        policy: PolicyKind,
+        /// Machine configuration (1, 2 or 3).
+        config: u8,
+        /// Injected invalidations per kilocycle (0 = none).
+        inval_rate: f64,
+    },
+    /// The `dmdc suite` matrix: every workload under one policy/config.
+    Suite {
+        /// Dependence-checking design.
+        policy: PolicyKind,
+        /// Machine configuration (1, 2 or 3).
+        config: u8,
+    },
+    /// A registry experiment.
+    Experiment {
+        /// Registry id (`fig2`, `table6`, ...).
+        id: String,
+    },
+}
+
+impl Work {
+    /// `kind` at `scale`, sampled by the rule every front end shares
+    /// ([`spec_for`](crate::sampling::spec_for)): `forced` is `Some` for
+    /// an explicit `--sampled`/`--exact` (or JSON `sampled`), `None` for
+    /// the scale's default.
+    pub fn new(kind: WorkKind, scale: Scale, forced: Option<bool>) -> Work {
+        Work {
+            kind,
+            scale,
+            sampled: crate::sampling::spec_for(scale, forced).enabled(),
+        }
+    }
+
+    /// The work as a JSON object: the `spec` of job documents and the
+    /// `plan` of the fleet's `GET /plan`.
+    pub fn to_json(&self) -> String {
+        let scale = scale_token(self.scale);
+        let sampled = self.sampled;
+        match &self.kind {
+            WorkKind::Cell {
+                workload,
+                policy,
+                config,
+                inval_rate,
+            } => format!(
+                "{{\"kind\": \"cell\", \"workload\": \"{}\", \"policy\": \"{}\", \
+                 \"config\": {config}, \"scale\": \"{scale}\", \"inval_rate\": {inval_rate}, \
+                 \"sampled\": {sampled}}}",
+                json::escape(workload),
+                json::escape(&policy.token()),
+            ),
+            WorkKind::Suite { policy, config } => format!(
+                "{{\"kind\": \"suite\", \"policy\": \"{}\", \"config\": {config}, \
+                 \"scale\": \"{scale}\", \"sampled\": {sampled}}}",
+                json::escape(&policy.token()),
+            ),
+            WorkKind::Experiment { id } => format!(
+                "{{\"kind\": \"experiment\", \"id\": \"{}\", \"scale\": \"{scale}\", \
+                 \"sampled\": {sampled}}}",
+                json::escape(id),
+            ),
+        }
+    }
+
+    /// Parses and validates a work object (a `POST /jobs` body, a
+    /// persisted job's `spec`, the fleet's `plan`). Absent members take
+    /// the CLI's defaults, except that a missing `scale` means smoke:
+    /// config 2, no invalidations, and sampling by
+    /// [`spec_for`](crate::sampling::spec_for) at the scale.
+    pub fn from_json(doc: &Json) -> Result<Work, String> {
+        let kind = doc
+            .get("kind")
+            .and_then(Json::as_str)
+            .ok_or("missing `kind` (cell, suite or experiment)")?;
+        let scale = parse_scale(
+            doc.get("scale")
+                .map(|s| s.as_str().ok_or("`scale` must be a string"))
+                .transpose()?
+                .unwrap_or("smoke"),
+        )?;
+        let forced = doc
+            .get("sampled")
+            .map(|v| v.as_bool().ok_or("`sampled` must be a boolean"))
+            .transpose()?;
+        let policy = || {
+            PolicyKind::parse_token(
+                doc.get("policy")
+                    .and_then(Json::as_str)
+                    .ok_or(format!("{kind} work needs a `policy`"))?,
+            )
+        };
+        let config = || match doc.get("config") {
+            None => Ok(2),
+            Some(v) => match v.as_u64() {
+                Some(c @ 1..=3) => Ok(c as u8),
+                _ => Err("`config` must be 1, 2 or 3".to_string()),
+            },
+        };
+        let kind = match kind {
+            "cell" => {
+                let workload = doc
+                    .get("workload")
+                    .and_then(Json::as_str)
+                    .ok_or("cell work needs a `workload`")?
+                    .to_string();
+                // The name set is scale-independent, and smoke-scale
+                // construction is cheap.
+                if find_workload(&workload, Scale::Smoke).is_err() {
+                    return Err(format!("unknown workload `{workload}`"));
+                }
+                let policy = policy()?;
+                let config = config()?;
+                let inval_rate = match doc.get("inval_rate") {
+                    None => 0.0,
+                    Some(v) => v
+                        .as_f64()
+                        .filter(|r| r.is_finite() && *r >= 0.0)
+                        .ok_or("`inval_rate` must be a non-negative number")?,
+                };
+                WorkKind::Cell {
+                    workload,
+                    policy,
+                    config,
+                    inval_rate,
+                }
+            }
+            "suite" => WorkKind::Suite {
+                policy: policy()?,
+                config: config()?,
+            },
+            "experiment" => {
+                let id = doc
+                    .get("id")
+                    .and_then(Json::as_str)
+                    .ok_or("experiment work needs an `id`")?;
+                registered(id)?;
+                WorkKind::Experiment { id: id.to_string() }
+            }
+            other => {
+                return Err(format!(
+                    "unknown work kind `{other}` (cell, suite or experiment)"
+                ))
+            }
+        };
+        Ok(Work::new(kind, scale, forced))
+    }
+
+    /// The coalescing key: fnv64 over the simulator fingerprint and
+    /// [`Work::to_json`], which names everything that can influence the
+    /// result.
+    pub fn key(&self) -> u64 {
+        let mut h = Fnv64::new();
+        h.write(default_fingerprint().as_bytes());
+        h.write(b"\0");
+        h.write(self.to_json().as_bytes());
+        h.finish()
+    }
+
+    /// Plans the cell matrix this work names, with its sampling mode
+    /// applied to every variant. Deterministic: a fleet's coordinator and
+    /// workers get byte-identical spec lists, and a cell's cache key
+    /// does not depend on which kind of work planned it.
+    pub fn plan(&self) -> Result<Plan, String> {
+        let plan = match &self.kind {
+            WorkKind::Cell {
+                workload,
+                policy,
+                config,
+                inval_rate,
+            } => {
+                let opts = SimOptions {
+                    inval_per_kcycle: *inval_rate,
+                    ..SimOptions::default()
+                };
+                Plan::matrix(
+                    vec![find_workload(workload, self.scale)?],
+                    vec![(core_config(*config)?, policy.clone(), opts)],
+                )
+            }
+            WorkKind::Suite { policy, config } => {
+                let variants = vec![(core_config(*config)?, policy.clone(), SimOptions::default())];
+                Plan::matrix(full_suite(self.scale), variants)
+            }
+            WorkKind::Experiment { id } => registered(id)?.plan(self.scale),
+        };
+        Ok(plan.sampled(crate::sampling::spec_for(self.scale, Some(self.sampled))))
+    }
+
+    /// Renders the executed plan's cells (in [`Plan::specs`] order, a
+    /// failed cell as a `None` slot plus its [`CellFailure`]): the
+    /// per-cell table for a cell or suite, with any quarantined cells
+    /// listed under it, or the experiment's reduced tables — or, when
+    /// any cell was quarantined, only its failures, since a partial
+    /// matrix cannot be reduced honestly.
+    pub fn report(
+        &self,
+        cells: Vec<Option<CellResult>>,
+        failures: Vec<CellFailure>,
+    ) -> Result<Report, String> {
+        let mut report = match &self.kind {
+            WorkKind::Cell {
+                workload,
+                policy,
+                config,
+                ..
+            } => {
+                let title = format!(
+                    "cell {workload} under {policy:?} on {}",
+                    core_config(*config)?.name
+                );
+                Report::single("cell", Table::cells(title, cells.iter().flatten()))
+            }
+            WorkKind::Suite { policy, config } => {
+                let title = format!("suite under {policy:?} on {}", core_config(*config)?.name);
+                Report::single("suite", Table::cells(title, cells.iter().flatten()))
+            }
+            WorkKind::Experiment { id } => {
+                let exp = registered(id)?;
+                if failures.is_empty() {
+                    return Ok(exp.reduce(&cells.into_iter().flatten().collect::<Vec<_>>()));
+                }
+                Report::new(exp.id())
+            }
+        };
+        for f in failures {
+            report.push_failure(f);
+        }
+        Ok(report)
+    }
+}
+
+/// The machine configuration a [`Work`] numbers (1, 2 or 3).
+fn core_config(config: u8) -> Result<CoreConfig, String> {
+    parse_config(&config.to_string())
+}
+
+/// The registry entry `id` names.
+fn registered(id: &str) -> Result<&'static dyn Experiment, String> {
+    find_experiment(id).ok_or_else(|| format!("unknown experiment `{id}` (see `dmdc list`)"))
+}
+
+/// Runs `work` end to end under `ctx` — plan → run → report — on this
+/// process's engine, or with `distrib` across a worker fleet; the report
+/// is byte-identical either way. This is the one path of `dmdc suite`,
+/// every `dmdc experiment` id and every daemon job.
 ///
-/// Cells that exhaust their retries are quarantined: the returned
-/// [`Report`] then carries the structured [`CellFailure`] records instead
-/// of the reduced tables (a partial matrix cannot be reduced honestly),
-/// and the process lives on to run the remaining experiments.
-pub fn run_experiment(ctx: &Context, exp: &dyn Experiment, scale: Scale) -> Report {
-    let (cells, failures) = execute_plan(ctx, &plan_experiment(ctx, exp, scale));
-    report_of(exp, cells, failures)
-}
-
-/// `exp`'s report over its executed plan: the reduced tables, or the
-/// [`CellFailure`] records when any cell was quarantined.
-pub(crate) fn report_of(
-    exp: &dyn Experiment,
-    cells: Vec<Option<CellResult>>,
-    failures: Vec<CellFailure>,
-) -> Report {
-    if failures.is_empty() {
-        return exp.reduce(&cells.into_iter().flatten().collect::<Vec<_>>());
-    }
-    let mut report = Report::new(exp.id());
-    for f in failures {
-        report.push_failure(f);
-    }
-    report
+/// Cells that exhaust their retries are quarantined into the report (see
+/// [`Work::report`]), and the process lives on; `Err` means the work
+/// could not run at all (an unknown id, a fleet that could not start).
+pub fn execute(
+    ctx: &Context,
+    work: &Work,
+    distrib: Option<&DistribOptions>,
+) -> Result<Report, String> {
+    let (cells, failures) = match distrib {
+        Some(opts) => crate::distrib::execute_plan_distributed(ctx, work, opts)?,
+        None => execute_plan(ctx, &work.plan()?),
+    };
+    work.report(cells, failures)
 }
 
 /// Executes a plan's cells through one engine, logging the engine's
@@ -472,6 +732,30 @@ pub(crate) fn execute_exact(
             ),
         )
     })?;
+    verify_exact(workload, config, policy_kind, &result, oracle)?;
+    if let Some(profile) = &result.profile {
+        ctx.record_profile(profile, &result.stats);
+    }
+    Ok(CellResult {
+        workload: workload.name.to_string(),
+        group: workload.group,
+        stats: result.stats,
+    })
+}
+
+/// Checks a finished exact run the way every verified path does: a
+/// halting run's final state must equal the functional emulator's
+/// (`oracle` gives its `(checksum, retired)`), and the invariant auditor,
+/// when compiled in, must have found nothing. The engine's cells and
+/// `dmdc run --exact`, which drives the simulator itself to keep its
+/// trace, both call it.
+pub fn verify_exact(
+    workload: &Workload,
+    config: &CoreConfig,
+    policy_kind: &PolicyKind,
+    result: &SimResult,
+    oracle: impl FnOnce() -> Result<(u64, u64), String>,
+) -> Result<(), CellError> {
     if result.halted {
         let (expected, _retired) =
             oracle().map_err(|e| CellError::new(FailureKind::OracleMustHalt, e))?;
@@ -498,14 +782,17 @@ pub(crate) fn execute_exact(
             ));
         }
     }
-    if let Some(profile) = &result.profile {
-        ctx.record_profile(profile, &result.stats);
-    }
-    Ok(CellResult {
-        workload: workload.name.to_string(),
-        group: workload.group,
-        stats: result.stats,
-    })
+    Ok(())
+}
+
+/// Emulates `workload` to its halt: the `(checksum, retired)` reference
+/// a standalone run is verified against.
+pub fn emulate(workload: &Workload) -> Result<(u64, u64), String> {
+    let mut emu = Emulator::new(&workload.program);
+    let retired = emu
+        .run(u64::MAX)
+        .map_err(|e| format!("{} must halt under emulation: {e}", workload.name))?;
+    Ok((emu.state_checksum(), retired))
 }
 
 /// Runs `workload` under `policy_kind` on `config`, verifying the final
@@ -549,11 +836,7 @@ pub fn run_workload_in(
     opts: SimOptions,
 ) -> CellResult {
     execute_verified(ctx, workload, config, policy_kind, opts, || {
-        let mut emu = Emulator::new(&workload.program);
-        let retired = emu
-            .run(u64::MAX)
-            .map_err(|e| format!("{} must halt under emulation: {e}", workload.name))?;
-        Ok((emu.state_checksum(), retired))
+        emulate(workload)
     })
     .unwrap_or_else(|e| panic!("{e}"))
 }
@@ -587,7 +870,7 @@ where
 /// Runs every workload under each variant through one shared engine,
 /// returning one chunk of cells per variant, each in workload order. The
 /// `_on` experiment functions use this; registry entries go through
-/// [`run_experiment`], which executes the identical matrix as one flat
+/// [`execute`], which executes the identical matrix as one flat
 /// plan.
 ///
 /// # Panics
@@ -629,4 +912,150 @@ pub(crate) fn chunk_by_variants(cells: &[CellResult], n_variants: usize) -> Vec<
     );
     let per = cells.len() / n_variants;
     cells.chunks(per).map(<[CellResult]>::to_vec).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn cell(workload: &str, policy: PolicyKind, config: u8, inval_rate: f64) -> WorkKind {
+        WorkKind::Cell {
+            workload: workload.to_string(),
+            policy,
+            config,
+            inval_rate,
+        }
+    }
+
+    /// Every kind of work round-trips through its one JSON form, keys on
+    /// it (the sampling mode included), and plans under its sampling mode
+    /// exactly the specs built by hand here: a one-cell job (whose cache
+    /// key must not move), `dmdc suite`'s matrix and the registry's
+    /// experiment matrix.
+    #[test]
+    fn every_kind_of_work_roundtrips_keys_and_plans() {
+        let yla = PolicyKind::Yla {
+            regs: 8,
+            line_interleaved: true,
+        };
+        let suite = |policy| WorkKind::Suite { policy, config: 2 };
+        let fig2 = WorkKind::Experiment {
+            id: "fig2".to_string(),
+        };
+        let (config2, config3) = (CoreConfig::config2(), CoreConfig::config3());
+        let exact = SimOptions::default();
+        let sampled = SimOptions {
+            sampling: SampleSpec::standard(),
+            ..exact
+        };
+        let by_hand = |workload, config: &CoreConfig, policy, opts| RunSpec {
+            workload,
+            config: config.clone(),
+            policy,
+            opts,
+        };
+        let smoke_suite = full_suite(Scale::Smoke).len();
+        let histo = cell("histo", PolicyKind::DmdcGlobal, 2, 0.0);
+        let synthetic = cell("synthetic", yla.clone(), 3, 2.5);
+        let cases: Vec<(Work, Vec<RunSpec>)> = vec![
+            (
+                Work::new(histo, Scale::Smoke, None),
+                vec![by_hand(0, &config2, PolicyKind::DmdcGlobal, exact)],
+            ),
+            (
+                Work::new(synthetic, Scale::Default, Some(true)),
+                vec![by_hand(
+                    0,
+                    &config3,
+                    yla,
+                    SimOptions {
+                        inval_per_kcycle: 2.5,
+                        ..sampled
+                    },
+                )],
+            ),
+            (
+                Work::new(suite(PolicyKind::DmdcGlobal), Scale::Default, Some(true)),
+                (0..full_suite(Scale::Default).len())
+                    .map(|i| by_hand(i, &config2, PolicyKind::DmdcGlobal, sampled))
+                    .collect(),
+            ),
+            (
+                Work::new(suite(PolicyKind::Baseline), Scale::Smoke, None),
+                (0..smoke_suite)
+                    .map(|i| RunSpec::new(i, &config2, PolicyKind::Baseline))
+                    .collect(),
+            ),
+            (
+                Work::new(fig2, Scale::Smoke, None),
+                find_experiment("fig2").unwrap().plan(Scale::Smoke).specs(),
+            ),
+        ];
+        let mut keys = Vec::new();
+        for (work, want) in &cases {
+            let parsed = Work::from_json(&json::parse(&work.to_json()).unwrap()).unwrap();
+            assert_eq!(&parsed, work);
+            assert_eq!(parsed.key(), work.key());
+            let flipped = Work {
+                sampled: !work.sampled,
+                ..work.clone()
+            };
+            assert_ne!(
+                flipped.key(),
+                work.key(),
+                "{work:?}: the key covers `sampled`"
+            );
+            keys.push(work.key());
+
+            let plan = work.plan().unwrap();
+            let planned: Vec<String> = plan.specs().iter().map(RunSpec::desc).collect();
+            let want: Vec<String> = want.iter().map(RunSpec::desc).collect();
+            assert_eq!(planned, want, "{work:?} planned other cells");
+        }
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), cases.len(), "distinct works key apart");
+        assert!(Work::from_json(&json::parse("{}").unwrap()).is_err());
+        let plan = cases[3].0.plan().unwrap();
+        assert_eq!(
+            (plan.variants.len(), plan.workloads.len()),
+            (1, smoke_suite)
+        );
+    }
+
+    /// A body without `sampled` samples as `dmdc` does at its scale, and
+    /// one without `scale` is smoke: `dmdc submit --experiment fig2
+    /// --scale full` samples in the daemon as `dmdc experiment fig2
+    /// --scale full` does on the CLI.
+    #[test]
+    fn absent_members_follow_the_cli_defaults() {
+        for (body, scale, sampled) in [
+            (
+                r#"{"kind": "experiment", "id": "fig2", "scale": "full"}"#,
+                Scale::Full,
+                true,
+            ),
+            (
+                r#"{"kind": "experiment", "id": "fig2", "scale": "smoke"}"#,
+                Scale::Smoke,
+                false,
+            ),
+            (
+                r#"{"kind": "cell", "workload": "histo", "policy": "baseline", "scale": "full"}"#,
+                Scale::Full,
+                true,
+            ),
+            (
+                r#"{"kind": "suite", "policy": "baseline"}"#,
+                Scale::Smoke,
+                false,
+            ),
+        ] {
+            let work = Work::from_json(&json::parse(body).unwrap()).unwrap();
+            assert_eq!((work.scale, work.sampled), (scale, sampled), "{body}");
+            let want = crate::sampling::spec_for(scale, Some(sampled));
+            let specs = work.plan().unwrap().specs();
+            assert!(specs.iter().all(|s| s.opts.sampling == want), "{body}");
+        }
+    }
 }

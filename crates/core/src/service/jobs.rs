@@ -1,19 +1,21 @@
 //! Job model, durable queue state and execution for `dmdc serve`.
 //!
-//! A **job** is one unit of simulation work a client submitted over
-//! HTTP: either a single (workload, policy, config) cell or a whole
-//! registry experiment. Job `job-N` is the Nth submission; its number is
-//! its FIFO rank and the key of its files. The [`JobManager`] owns the
-//! complete lifecycle:
+//! A **job** is one [`Work`] a client submitted over HTTP: a single
+//! (workload, policy, config) cell or a whole registry experiment (the
+//! daemon refuses the suite kind). Its `spec` is [`Work::to_json`], the
+//! document the CLI and the fleet exchange too. Job `job-N` is the Nth
+//! submission; its number is its FIFO rank and the key of its files.
+//! The [`JobManager`] owns the complete lifecycle:
 //!
 //! * **submit** — parse and validate the request, account it against the
 //!   client's quota, coalesce it onto an identical in-flight job if one
 //!   exists (see below), persist a sealed `jobs/<N as 016x>.job`
 //!   envelope, and enqueue;
 //! * **dispatch** — a worker pops jobs in priority order (FIFO within a
-//!   priority) and executes them through the ordinary [`Engine`] under
-//!   the daemon's [`Context`], whose cell cache means a cell an earlier
-//!   job simulated is read, not re-run;
+//!   priority) and runs each through [`experiments::execute`], the path
+//!   `dmdc suite` and `dmdc experiment` take, under the daemon's
+//!   [`Context`], whose cell cache means a cell an earlier job simulated
+//!   is read, not re-run;
 //! * **complete** — the rendered report (the same JSON the CLI's
 //!   `--format json` emits) is persisted as a sealed
 //!   `results/<N as 016x>.result` envelope before the job is marked
@@ -29,8 +31,8 @@
 //! context's fault plan runs after every job and result write.
 //!
 //! **Coalescing invariant:** two submissions are *identical* iff their
-//! canonical descriptions — simulator fingerprint ‖ workload ‖ full spec
-//! — hash to the same key. While a job for a key is queued or running,
+//! [`Work::key`]s — fnv64 over the simulator fingerprint ‖
+//! [`Work::to_json`] — are equal. While a job for a key is queued or running,
 //! identical submissions return the *same job id* instead of new work;
 //! the `jobs_coalesced` counter counts exactly those merged submissions,
 //! so N concurrent identical submissions perform 1 simulation and count
@@ -45,236 +47,26 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use dmdc_ooo::{SampleSpec, SimOptions};
-use dmdc_workloads::Scale;
-
-use crate::cache::{self, Fnv64, SealedDir};
-use crate::experiments::{self, find_workload, parse_config, parse_scale, scale_token, PolicyKind};
-use crate::report::{Report, Table};
-use crate::runner::{Context, Engine, RunSpec};
-use crate::sampling;
-use crate::service::json::{self, Json};
-
-/// What one job simulates.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JobSpec {
-    /// One (workload, policy, config) cell.
-    Cell {
-        /// Workload name (`histo`, `saxpy`, `synthetic`, ...).
-        workload: String,
-        /// Dependence-checking design.
-        policy: PolicyKind,
-        /// Machine configuration (1, 2 or 3).
-        config: u8,
-        /// Workload scale.
-        scale: Scale,
-        /// Injected invalidations per kilocycle (0 = none).
-        inval_rate: f64,
-        /// SMARTS-style sampled simulation instead of exact.
-        sampled: bool,
-    },
-    /// A whole registry experiment.
-    Experiment {
-        /// Registry id (`fig2`, `table6`, ...).
-        id: String,
-        /// Workload scale.
-        scale: Scale,
-    },
-}
-
-impl JobSpec {
-    /// The canonical one-line description the coalescing key hashes.
-    /// Everything that can influence the result appears here; the
-    /// simulator fingerprint joins at hash time (see [`JobSpec::key`]).
-    pub fn canonical(&self) -> String {
-        match self {
-            JobSpec::Cell {
-                workload,
-                policy,
-                config,
-                scale,
-                inval_rate,
-                sampled,
-            } => format!(
-                "cell workload={workload} policy={} config={config} scale={} inval={inval_rate} sampled={sampled}",
-                policy.token(),
-                scale_token(*scale),
-            ),
-            JobSpec::Experiment { id, scale } => {
-                format!("experiment id={id} scale={}", scale_token(*scale))
-            }
-        }
-    }
-
-    /// The job coalescing key: fingerprint ‖ canonical spec.
-    pub fn key(&self) -> u64 {
-        let mut h = Fnv64::new();
-        h.write(cache::default_fingerprint().as_bytes());
-        h.write(b"\0");
-        h.write(self.canonical().as_bytes());
-        h.finish()
-    }
-
-    /// The spec as a JSON object (the `spec` member of job documents).
-    pub fn to_json(&self) -> String {
-        match self {
-            JobSpec::Cell {
-                workload,
-                policy,
-                config,
-                scale,
-                inval_rate,
-                sampled,
-            } => format!(
-                "{{\"kind\": \"cell\", \"workload\": \"{}\", \"policy\": \"{}\", \
-                 \"config\": {config}, \"scale\": \"{}\", \"inval_rate\": {inval_rate}, \
-                 \"sampled\": {sampled}}}",
-                json::escape(workload),
-                json::escape(&policy.token()),
-                scale_token(*scale),
-            ),
-            JobSpec::Experiment { id, scale } => format!(
-                "{{\"kind\": \"experiment\", \"id\": \"{}\", \"scale\": \"{}\"}}",
-                json::escape(id),
-                scale_token(*scale),
-            ),
-        }
-    }
-
-    /// Parses and validates a spec object (the body of `POST /jobs`, or
-    /// the `spec` member of a persisted job document).
-    pub fn from_json(doc: &Json) -> Result<JobSpec, String> {
-        let kind = doc
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or("missing `kind` (cell or experiment)")?;
-        let scale = parse_scale(
-            doc.get("scale")
-                .map(|s| s.as_str().ok_or("`scale` must be a string"))
-                .transpose()?
-                .unwrap_or("smoke"),
-        )?;
-        match kind {
-            "cell" => {
-                let workload = doc
-                    .get("workload")
-                    .and_then(Json::as_str)
-                    .ok_or("cell jobs need a `workload`")?
-                    .to_string();
-                // The name set is scale-independent, and smoke-scale
-                // construction is cheap.
-                if find_workload(&workload, Scale::Smoke).is_err() {
-                    return Err(format!("unknown workload `{workload}`"));
-                }
-                let policy = PolicyKind::parse_token(
-                    doc.get("policy")
-                        .and_then(Json::as_str)
-                        .ok_or("cell jobs need a `policy`")?,
-                )?;
-                let config = match doc.get("config") {
-                    None => 2,
-                    Some(v) => match v.as_u64() {
-                        Some(c @ 1..=3) => c as u8,
-                        _ => return Err("`config` must be 1, 2 or 3".to_string()),
-                    },
-                };
-                let inval_rate = match doc.get("inval_rate") {
-                    None => 0.0,
-                    Some(v) => v
-                        .as_f64()
-                        .filter(|r| r.is_finite() && *r >= 0.0)
-                        .ok_or("`inval_rate` must be a non-negative number")?,
-                };
-                let sampled = match doc.get("sampled") {
-                    None => false,
-                    Some(v) => v.as_bool().ok_or("`sampled` must be a boolean")?,
-                };
-                Ok(JobSpec::Cell {
-                    workload,
-                    policy,
-                    config,
-                    scale,
-                    inval_rate,
-                    sampled,
-                })
-            }
-            "experiment" => {
-                let id = doc
-                    .get("id")
-                    .and_then(Json::as_str)
-                    .ok_or("experiment jobs need an `id`")?
-                    .to_string();
-                if experiments::find_experiment(&id).is_none() {
-                    return Err(format!("unknown experiment `{id}` (see `dmdc list`)"));
-                }
-                Ok(JobSpec::Experiment { id, scale })
-            }
-            other => Err(format!("unknown job kind `{other}` (cell or experiment)")),
-        }
-    }
-}
+use crate::cache::SealedDir;
+use crate::experiments::{self, Work};
+use crate::runner::Context;
+use crate::service::json;
 
 /// Executes one job under the daemon's `ctx` to its result payload —
 /// the exact JSON document the CLI's `--format json` emitters produce for
-/// the same work. `Err` is a human-readable failure (quarantined cells,
-/// unknown ids) that becomes a `failed` job, never a dead daemon.
-pub fn execute(ctx: &Context, spec: &JobSpec) -> Result<String, String> {
-    match spec {
-        JobSpec::Cell {
-            workload,
-            policy,
-            config,
-            scale,
-            inval_rate,
-            sampled,
-        } => {
-            let workloads = [find_workload(workload, *scale)?];
-            let core = parse_config(&config.to_string())?;
-            // The sampling mode is set on the spec itself: `RunSpec::opts`
-            // is what cache keys hash.
-            let spec = RunSpec {
-                workload: 0,
-                config: core.clone(),
-                policy: policy.clone(),
-                opts: SimOptions {
-                    inval_per_kcycle: *inval_rate,
-                    sampling: if *sampled {
-                        SampleSpec::standard()
-                    } else {
-                        SampleSpec::EXACT
-                    },
-                    ..SimOptions::default()
-                },
-            };
-            let cell = Engine::new(ctx, &workloads)
-                .try_run_cell(&spec)
-                .map_err(|f| format!("[{}] {}", f.kind, f.detail))?;
-            let title = format!(
-                "cell {} under {policy:?} on {}",
-                workloads[0].name, core.name
-            );
-            Ok(Report::single("cell", Table::cells(title, [&cell])).json())
-        }
-        JobSpec::Experiment { id, scale } => {
-            let exp = experiments::find_experiment(id)
-                .ok_or_else(|| format!("unknown experiment `{id}`"))?;
-            let report = experiments::run_experiment(&experiment_context(ctx, *scale), exp, *scale);
-            if report.has_failures() {
-                return Err(format!(
-                    "{} cell(s) quarantined; report: {}",
-                    report.failures().len(),
-                    report.json()
-                ));
-            }
-            Ok(report.json())
-        }
+/// the same work, through the same [`experiments::execute`]. `Err` is a
+/// human-readable failure (quarantined cells, unknown ids) that becomes a
+/// `failed` job, never a dead daemon.
+pub fn execute(ctx: &Context, work: &Work) -> Result<String, String> {
+    let report = experiments::execute(ctx, work, None)?;
+    if report.has_failures() {
+        return Err(format!(
+            "{} cell(s) quarantined; report: {}",
+            report.failures().len(),
+            report.json()
+        ));
     }
-}
-
-/// The context an experiment job runs under: the daemon's, sampling
-/// exactly when `dmdc experiment` at the same scale would.
-fn experiment_context(ctx: &Context, scale: Scale) -> Context {
-    ctx.clone().with_sampling(sampling::spec_for(scale, None))
+    Ok(report.json())
 }
 
 /// Lifecycle state of one job.
@@ -305,7 +97,7 @@ impl JobState {
 /// One tracked job.
 #[derive(Debug, Clone)]
 struct JobRecord {
-    spec: JobSpec,
+    spec: Work,
     priority: u8,
     client: String,
     state: JobState,
@@ -331,7 +123,7 @@ fn decode_job(body: &str, seq: u64) -> Option<JobRecord> {
     if doc.get("id")?.as_str()? != job_id(seq) {
         return None;
     }
-    let spec = JobSpec::from_json(doc.get("spec")?).ok()?;
+    let spec = Work::from_json(doc.get("spec")?).ok()?;
     Some(JobRecord {
         priority: u8::try_from(doc.get("priority")?.as_u64()?).ok()?,
         client: doc.get("client")?.as_str()?.to_string(),
@@ -513,12 +305,7 @@ impl JobManager {
     /// Submits one parsed request. The sealed job envelope is on disk
     /// before the job becomes visible in the queue, so an accepted job
     /// survives any crash.
-    pub fn submit(
-        &self,
-        spec: JobSpec,
-        priority: u8,
-        client: &str,
-    ) -> Result<SubmitOutcome, String> {
+    pub fn submit(&self, spec: Work, priority: u8, client: &str) -> Result<SubmitOutcome, String> {
         let key = spec.key();
         let mut inner = self.lock();
         if inner.draining {
@@ -567,7 +354,7 @@ impl JobManager {
 
     /// Blocks until a job is available (or the manager is draining and
     /// empty, returning `None`). The returned job is marked running.
-    pub fn next_job(&self) -> Option<(String, JobSpec)> {
+    pub fn next_job(&self) -> Option<(String, Work)> {
         let mut inner = self.lock();
         loop {
             if !inner.paused {
@@ -727,15 +514,9 @@ impl JobManager {
 mod tests {
     use super::*;
 
-    fn spec(workload: &str) -> JobSpec {
-        JobSpec::Cell {
-            workload: workload.to_string(),
-            policy: PolicyKind::DmdcGlobal,
-            config: 2,
-            scale: Scale::Smoke,
-            inval_rate: 0.0,
-            sampled: false,
-        }
+    fn spec(workload: &str) -> Work {
+        let body = format!(r#"{{"kind": "cell", "workload": "{workload}", "policy": "dmdc"}}"#);
+        Work::from_json(&json::parse(&body).unwrap()).unwrap()
     }
 
     fn manager(tag: &str, quota: usize) -> (JobManager, PathBuf) {
@@ -744,31 +525,6 @@ mod tests {
             .join(format!("dmdc-jobs-test-{tag}"));
         let _ = std::fs::remove_dir_all(&dir);
         (JobManager::new(&Context::new(), &dir, quota).unwrap(), dir)
-    }
-
-    #[test]
-    fn spec_json_roundtrip() {
-        for s in [
-            spec("histo"),
-            JobSpec::Cell {
-                workload: "synthetic".to_string(),
-                policy: PolicyKind::Yla {
-                    regs: 8,
-                    line_interleaved: true,
-                },
-                config: 3,
-                scale: Scale::Default,
-                inval_rate: 2.5,
-                sampled: true,
-            },
-            JobSpec::Experiment {
-                id: "fig2".to_string(),
-                scale: Scale::Smoke,
-            },
-        ] {
-            let doc = json::parse(&s.to_json()).unwrap();
-            assert_eq!(JobSpec::from_json(&doc).unwrap(), s);
-        }
     }
 
     #[test]
@@ -782,10 +538,7 @@ mod tests {
             r#"{"kind": "mystery"}"#,
         ] {
             let doc = json::parse(bad).unwrap();
-            assert!(
-                JobSpec::from_json(&doc).is_err(),
-                "`{bad}` must be rejected"
-            );
+            assert!(Work::from_json(&doc).is_err(), "`{bad}` must be rejected");
         }
     }
 
@@ -928,23 +681,5 @@ mod tests {
         let rows = tables[0].get("rows").unwrap().as_array().unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].as_array().unwrap()[0].as_str(), Some("histo"));
-    }
-
-    /// `dmdc submit --experiment fig2 --scale full` samples in the daemon
-    /// exactly as `dmdc experiment fig2 --scale full` does on the CLI.
-    #[test]
-    fn experiment_jobs_sample_like_the_cli() {
-        let exp = experiments::find_experiment("fig2").unwrap();
-        for (scale, want) in [
-            (Scale::Full, SampleSpec::standard()),
-            (Scale::Smoke, SampleSpec::EXACT),
-        ] {
-            let ctx = experiment_context(&Context::new(), scale);
-            let plan = experiments::plan_experiment(&ctx, exp, scale);
-            assert!(
-                plan.specs().iter().all(|s| s.opts.sampling == want),
-                "{scale:?} experiment job planned the wrong sampling mode"
-            );
-        }
     }
 }

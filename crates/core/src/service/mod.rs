@@ -32,7 +32,7 @@
 //! | Method, path                      | Meaning                                      |
 //! |-----------------------------------|----------------------------------------------|
 //! | `GET /health`                     | liveness probe                               |
-//! | `POST /jobs`                      | submit a job (see [`jobs::JobSpec`])         |
+//! | `POST /jobs`                      | submit a job (a cell or experiment [`Work`]) |
 //! | `GET /jobs`                       | list all tracked jobs                        |
 //! | `GET /jobs/<id>`                  | one job's status document                    |
 //! | `GET /jobs/<id>/result`           | the stored result (202 while pending)        |
@@ -59,9 +59,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::cache::CacheCounters;
+use crate::experiments::Work;
 use crate::runner::Context;
 use crate::service::http::error_body;
-use crate::service::jobs::{JobManager, JobSpec, JobState, SubmitOutcome};
+use crate::service::jobs::{JobManager, JobState, SubmitOutcome};
 
 /// Process-wide stop flag: set by SIGTERM/SIGINT or `POST /shutdown`,
 /// read by the accept loop after every accept. A static because a signal
@@ -283,7 +284,17 @@ fn submit(request: &http::Request, manager: &JobManager) -> (u16, String) {
         Ok(doc) => doc,
         Err(e) => return (400, error_body(&format!("bad JSON: {e}"))),
     };
-    let spec = match JobSpec::from_json(&doc) {
+    // A job runs on the daemon's one engine; the suite matrix is the
+    // fleet's unit of work, not a job.
+    match doc.get("kind").and_then(json::Json::as_str) {
+        Some("cell" | "experiment") => {}
+        None => return (400, error_body("missing `kind` (cell or experiment)")),
+        Some(other) => {
+            let e = format!("unknown job kind `{other}` (cell or experiment)");
+            return (400, error_body(&e));
+        }
+    }
+    let spec = match Work::from_json(&doc) {
         Ok(spec) => spec,
         Err(e) => return (400, error_body(&e)),
     };
@@ -449,8 +460,6 @@ fn metrics_json(manager: &JobManager, ctx: &Context) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::PolicyKind;
-    use dmdc_workloads::Scale;
 
     fn manager(tag: &str) -> (JobManager, PathBuf) {
         let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -521,6 +530,10 @@ mod tests {
         assert_eq!(get(&m, "/jobs/job-99").0, 404);
         assert_eq!(get(&m, "/jobs/job-99/result").0, 404);
         assert_eq!(post_jobs(&m, "{}").0, 400);
+        // A well-formed suite is fleet work, not a job.
+        let (status, body) = post_jobs(&m, r#"{"kind": "suite", "policy": "baseline"}"#);
+        assert_eq!(status, 400);
+        assert!(body.contains("unknown job kind `suite`"), "{body}");
         assert_eq!(
             route(
                 &http::Request {
@@ -564,14 +577,8 @@ mod tests {
     fn metrics_document_parses_and_counts() {
         let (m, dir) = manager("metrics");
         m.set_paused(true);
-        let spec = JobSpec::Cell {
-            workload: "histo".to_string(),
-            policy: PolicyKind::Baseline,
-            config: 2,
-            scale: Scale::Smoke,
-            inval_rate: 0.0,
-            sampled: false,
-        };
+        let body = r#"{"kind": "cell", "workload": "histo", "policy": "baseline"}"#;
+        let spec = Work::from_json(&json::parse(body).unwrap()).unwrap();
         m.submit(spec.clone(), 100, "c").unwrap();
         m.submit(spec, 100, "c").unwrap(); // coalesces
         let doc = json::parse(&metrics_json(&m, &Context::new())).unwrap();

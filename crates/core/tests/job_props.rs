@@ -13,22 +13,18 @@
 
 use std::path::PathBuf;
 
-use dmdc_core::experiments::PolicyKind;
+use dmdc_core::experiments::Work;
 use dmdc_core::runner::Context;
-use dmdc_core::service::jobs::{JobManager, JobSpec, JobState, SubmitOutcome};
-use dmdc_workloads::Scale;
+use dmdc_core::service::jobs::{JobManager, JobState, SubmitOutcome};
+use dmdc_core::service::json;
 use proptest::prelude::*;
 
 /// Submission `n`'s spec: distinct for every `n`, so nothing coalesces.
-fn spec(n: u64) -> JobSpec {
-    JobSpec::Cell {
-        workload: "histo".to_string(),
-        policy: PolicyKind::Baseline,
-        config: 2,
-        scale: Scale::Smoke,
-        inval_rate: n as f64,
-        sampled: false,
-    }
+fn spec(n: u64) -> Work {
+    let body = format!(
+        r#"{{"kind": "cell", "workload": "histo", "policy": "baseline", "inval_rate": {n}}}"#
+    );
+    Work::from_json(&json::parse(&body).unwrap()).unwrap()
 }
 
 /// The result payload job `seq` completes with.

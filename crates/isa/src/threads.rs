@@ -112,11 +112,6 @@ impl<'p> SharedSystem<'p> {
         r.map(|_| ())
     }
 
-    /// Total instructions retired across all cores.
-    pub fn total_retired(&self) -> u64 {
-        self.cores.iter().map(|c| c.retired()).sum()
-    }
-
     /// FNV-1a hash of the complete system state: per-core pc / halt flag /
     /// register files plus the shared memory checksum. Two systems with
     /// equal keys behave identically from here on, which is what makes the

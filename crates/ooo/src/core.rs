@@ -73,11 +73,6 @@ impl SampleSpec {
     pub fn enabled(&self) -> bool {
         self.windows > 0
     }
-
-    /// Detailed instructions one window costs (warmup + measurement).
-    pub fn insts_per_window(&self) -> u64 {
-        self.warmup_insts as u64 + self.window_insts as u64
-    }
 }
 
 impl Default for SampleSpec {

@@ -28,19 +28,19 @@ use std::time::Duration;
 use dmdc::core::cache::{
     default_cache_dir, default_fingerprint, default_runs_dir, unseal, write_sealed,
 };
-use dmdc::core::distrib::{self, DistribOptions, PlanDescriptor};
+use dmdc::core::distrib::{self, DistribOptions};
 use dmdc::core::experiments::{
-    self, find_workload, parse_config, parse_scale, scale_token, PolicyKind,
+    self, find_workload, parse_config, parse_scale, PolicyKind, Work, WorkKind,
 };
 use dmdc::core::faults::FaultPlan;
 use dmdc::core::fuzz::{self, FuzzOptions};
 use dmdc::core::recovery;
-use dmdc::core::report::{fmt, OutputFormat, Report, Table};
-use dmdc::core::runner::{Context, Engine};
+use dmdc::core::report::{fmt, OutputFormat};
+use dmdc::core::runner::Context;
 use dmdc::core::sampling;
 use dmdc::core::service::{self, http, json, ServeOptions};
 use dmdc::isa::{Assembler, Emulator};
-use dmdc::ooo::{run_multicore, CoreConfig, MultiCoreOptions, SampleSpec, SimOptions, Simulator};
+use dmdc::ooo::{run_multicore, CoreConfig, MultiCoreOptions, SimOptions, Simulator};
 use dmdc::workloads::{Scale, Workload};
 
 /// Parsed `--key value` flags.
@@ -110,10 +110,10 @@ USAGE:
   dmdc serve [--addr 127.0.0.1:8181] [--state-dir DIR] [--quota N]
            [--paused] [--jobs N]
   dmdc submit [--addr A] --workload <name> --policy <name> [--config N]
-           [--scale S] [--inval-rate R] [--sampled] [--priority 0..255]
-           [--client NAME] [--wait [--max-wait SECS]]
-  dmdc submit [--addr A] --experiment <id> [--scale S] [--priority P]
-           [--client NAME] [--wait [--max-wait SECS]]
+           [--scale S] [--inval-rate R] [--sampled|--exact]
+           [--priority 0..255] [--client NAME] [--wait [--max-wait SECS]]
+  dmdc submit [--addr A] --experiment <id> [--scale S] [--sampled|--exact]
+           [--priority P] [--client NAME] [--wait [--max-wait SECS]]
   dmdc status [--addr A] [--job <id>]
   dmdc metrics [--addr A]
 
@@ -240,9 +240,11 @@ fn parse_policy(name: &str) -> Result<PolicyKind, String> {
     PolicyKind::parse_token(name)
 }
 
-/// `--config` (config 2 when absent).
-fn config_flag(flags: &Flags) -> &str {
-    flags.get("config").map(String::as_str).unwrap_or("2")
+/// `--config` (config 2 when absent), validated: the machine number a
+/// [`Work`] carries.
+fn config_flag(flags: &Flags) -> Result<u8, String> {
+    let token = flags.get("config").map(String::as_str).unwrap_or("2");
+    parse_config(token).map(|_| token.parse().expect("configs are numbered 1 to 3"))
 }
 
 /// `--scale` (default scale when absent).
@@ -250,14 +252,20 @@ fn scale_flag(flags: &Flags) -> Result<Scale, String> {
     parse_scale(flags.get("scale").map(String::as_str).unwrap_or("default"))
 }
 
-/// Resolves `--sampled` / `--exact` at `scale` through the rule every
-/// front end shares ([`sampling::spec_for`]).
-fn sampling_flags(flags: &Flags, scale: Scale) -> Result<SampleSpec, String> {
-    let forced = match (flags.contains_key("sampled"), flags.contains_key("exact")) {
-        (true, true) => return Err("--exact and --sampled are mutually exclusive".to_string()),
-        (sampled, exact) => (sampled || exact).then_some(sampled),
-    };
-    Ok(sampling::spec_for(scale, forced))
+/// `--sampled` / `--exact` as the override of the rule every front end
+/// shares ([`sampling::spec_for`]): `None` when neither is given.
+fn sampling_flags(flags: &Flags) -> Result<Option<bool>, String> {
+    match (flags.contains_key("sampled"), flags.contains_key("exact")) {
+        (true, true) => Err("--exact and --sampled are mutually exclusive".to_string()),
+        (sampled, exact) => Ok((sampled || exact).then_some(sampled)),
+    }
+}
+
+/// The [`Work`] of `kind` at `--scale`, sampled as `--sampled`/`--exact`
+/// say: the one descriptor `suite`, `experiment` and `submit` build from
+/// their flags.
+fn work_flags(flags: &Flags, kind: WorkKind) -> Result<Work, String> {
+    Ok(Work::new(kind, scale_flag(flags)?, sampling_flags(flags)?))
 }
 
 /// The run context `serve` and `worker` start from: `--jobs`,
@@ -296,7 +304,7 @@ fn base_context(flags: &Flags) -> Result<Context, String> {
 }
 
 /// The run context of `run`, `suite` and `experiment`: [`base_context`]
-/// plus `--profile`, the sampling mode, the cell cache and checkpoint
+/// plus `--profile`, the cell cache and checkpoint
 /// store under `target/dmdc-cache/` (unless `--no-cache`), and with
 /// `--run-id` the run's record under `target/dmdc-runs/<run-id>/`: the
 /// sealed manifest (command line plus simulator fingerprint) that `dmdc
@@ -304,13 +312,8 @@ fn base_context(flags: &Flags) -> Result<Context, String> {
 /// completed cells and sampled cells' checkpoints persist in the shared
 /// store, or under `--no-cache` in a run-private store at
 /// `<run>/journal/`, so a resume finds them there.
-fn run_context(
-    command: &str,
-    args: &[String],
-    flags: &Flags,
-    sampling: SampleSpec,
-) -> Result<Context, String> {
-    let mut ctx = base_context(flags)?.with_sampling(sampling);
+fn run_context(command: &str, args: &[String], flags: &Flags) -> Result<Context, String> {
+    let mut ctx = base_context(flags)?;
     if flags.contains_key("profile") {
         ctx = ctx.with_profile();
     }
@@ -560,9 +563,9 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     }
     let workload_name = flags.get("workload").ok_or("--workload is required")?;
     let policy = parse_policy(flags.get("policy").ok_or("--policy is required")?)?;
-    let config = parse_config(config_flag(&flags))?;
+    let config = parse_config(&config_flag(&flags)?.to_string())?;
     let scale = scale_flag(&flags)?;
-    let spec = sampling_flags(&flags, scale)?;
+    let spec = sampling::spec_for(scale, sampling_flags(&flags)?);
     let workload = find_workload(workload_name, scale)?;
 
     let mut opts = SimOptions::default();
@@ -624,16 +627,21 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         // Single sampled runs bypass the engine (no cell cache lookups),
         // but the sampling driver itself consults the context's
         // checkpoint store — so repeat runs skip the fast-forward.
-        let ctx = run_context("run", args, &flags, spec)?;
+        let ctx = run_context("run", args, &flags)?;
         let cell = experiments::run_workload_in(&ctx, &workload, &config, &policy, opts);
         print_run_stats(&workload, &policy, &config, &cell.stats);
         report_profile(&ctx);
         return Ok(());
     }
 
-    // Drive the simulator directly so the trace is accessible afterwards.
+    // Drive the simulator directly so the trace is accessible afterwards,
+    // then verify the run as every engine cell is.
     let mut sim = Simulator::new(&workload.program, config.clone(), policy.build(&config));
     let result = sim.run(opts).map_err(|e| e.to_string())?;
+    experiments::verify_exact(&workload, &config, &policy, &result, || {
+        experiments::emulate(&workload)
+    })
+    .map_err(|e| e.to_string())?;
     if opts.trace_capacity > 0 {
         println!("{}", sim.trace().render());
     }
@@ -790,41 +798,11 @@ fn cmd_suite(args: &[String]) -> Result<(), String> {
             .map(String::as_str)
             .unwrap_or("dmdc-global"),
     )?;
-    let config = parse_config(config_flag(&flags))?;
-    let scale = scale_flag(&flags)?;
-    let format = parse_format(&flags)?;
-    let ctx = run_context("suite", args, &flags, sampling_flags(&flags, scale)?)?;
-    // The worker fleet rebuilds this exact matrix from the descriptor;
-    // either way the cells feed the same table code.
-    let desc = PlanDescriptor::Suite {
-        policy: policy.clone(),
-        config: config_flag(&flags)
-            .parse()
-            .expect("validated by parse_config"),
-        scale,
-        sampled: ctx.sampling().enabled(),
+    let kind = WorkKind::Suite {
+        policy,
+        config: config_flag(&flags)?,
     };
-    let (runs, failures) = match parse_distrib(&flags)? {
-        Some(dopts) => distrib::execute_plan_distributed(&ctx, &desc, &dopts)?,
-        None => {
-            let plan = desc.plan()?;
-            Engine::new(&ctx, &plan.workloads).run_all_recovered(&plan.specs())
-        }
-    };
-    let title = format!("suite under {policy:?} on {}", config.name);
-    let quarantined = failures.len();
-    let mut report = Report::single("suite", Table::cells(title, runs.iter().flatten()));
-    for f in failures {
-        report.push_failure(f);
-    }
-    print!("{}", report.emit(format));
-    report_profile(&ctx);
-    if quarantined > 0 {
-        return Err(format!(
-            "{quarantined} cell(s) quarantined; the report is partial"
-        ));
-    }
-    Ok(())
+    execute_works("suite", args, &flags, vec![work_flags(&flags, kind)?])
 }
 
 fn cmd_experiment(args: &[String]) -> Result<(), String> {
@@ -832,23 +810,33 @@ fn cmd_experiment(args: &[String]) -> Result<(), String> {
         .first()
         .ok_or("which experiment? (see `dmdc list`: fig2..fig5, table2..table6, ablations, all)")?;
     let flags = parse_flags(&args[1..])?;
-    let scale = scale_flag(&flags)?;
-    let format = parse_format(&flags)?;
-    let ctx = run_context("experiment", args, &flags, sampling_flags(&flags, scale)?)?;
-    let distrib_opts = parse_distrib(&flags)?;
     let ids: Vec<&str> = match which.as_str() {
         "all" => experiments::registry().iter().map(|e| e.id()).collect(),
         "ablations" => experiments::ABLATION_IDS.to_vec(),
         one => vec![one],
     };
+    let works = ids
+        .into_iter()
+        .map(|id| work_flags(&flags, WorkKind::Experiment { id: id.to_string() }))
+        .collect::<Result<_, _>>()?;
+    execute_works("experiment", args, &flags, works)
+}
+
+/// Runs each work through [`experiments::execute`] — across a worker
+/// fleet under `--distrib` — and prints its report in `--format`; the
+/// profile goes to stderr. Quarantined cells make the exit nonzero.
+fn execute_works(
+    command: &str,
+    args: &[String],
+    flags: &Flags,
+    works: Vec<Work>,
+) -> Result<(), String> {
+    let format = parse_format(flags)?;
+    let ctx = run_context(command, args, flags)?;
+    let distrib_opts = parse_distrib(flags)?;
     let mut quarantined = 0;
-    for id in ids {
-        let exp = experiments::find_experiment(id)
-            .ok_or_else(|| format!("unknown experiment `{id}` (see `dmdc list`)"))?;
-        let report = match &distrib_opts {
-            Some(dopts) => distrib::run_experiment_distributed(&ctx, exp, scale, dopts)?,
-            None => experiments::run_experiment(&ctx, exp, scale),
-        };
+    for work in &works {
+        let report = experiments::execute(&ctx, work, distrib_opts.as_ref())?;
         quarantined += report.failures().len();
         print!("{}", report.emit(format));
     }
@@ -1010,36 +998,25 @@ fn server_addr(flags: &Flags) -> String {
 fn cmd_submit(args: &[String]) -> Result<(), String> {
     let flags = parse_flags(args)?;
     let addr = server_addr(&flags);
-    let scale = scale_flag(&flags)?;
-    let mut body = if let Some(id) = flags.get("experiment") {
-        format!(
-            "{{\"kind\": \"experiment\", \"id\": \"{}\", \"scale\": \"{}\"",
-            json::escape(id),
-            scale_token(scale)
-        )
-    } else {
-        let workload = flags
-            .get("workload")
-            .ok_or("--workload or --experiment is required")?;
-        let policy = parse_policy(flags.get("policy").ok_or("--policy is required")?)?;
-        let config = config_flag(&flags);
-        parse_config(config)?;
-        let inval_rate: f64 = match flags.get("inval-rate") {
-            None => 0.0,
-            Some(r) => r.parse().map_err(|_| "bad --inval-rate")?,
-        };
-        format!(
-            "{{\"kind\": \"cell\", \"workload\": \"{}\", \"policy\": \"{}\", \
-             \"config\": {config}, \"scale\": \"{}\", \"inval_rate\": {inval_rate}, \
-             \"sampled\": {}",
-            json::escape(workload),
-            json::escape(&policy.token()),
-            scale_token(scale),
-            // The daemon samples a cell exactly when this says so; fill it
-            // with the rule `dmdc run` applies at the same scale.
-            sampling::spec_for(scale, flags.contains_key("sampled").then_some(true)).enabled()
-        )
+    let kind = match flags.get("experiment") {
+        Some(id) => WorkKind::Experiment { id: id.clone() },
+        None => WorkKind::Cell {
+            workload: flags
+                .get("workload")
+                .ok_or("--workload or --experiment is required")?
+                .clone(),
+            policy: parse_policy(flags.get("policy").ok_or("--policy is required")?)?,
+            config: config_flag(&flags)?,
+            inval_rate: match flags.get("inval-rate") {
+                None => 0.0,
+                Some(r) => r.parse().map_err(|_| "bad --inval-rate")?,
+            },
+        },
     };
+    // The work's JSON object, reopened (its closing brace dropped) for
+    // the request's routing members.
+    let mut body = work_flags(&flags, kind)?.to_json();
+    body.pop();
     if let Some(priority) = flags.get("priority") {
         let p: u16 = priority.parse().map_err(|_| "bad --priority (0..=255)")?;
         if p > 255 {

@@ -14,7 +14,7 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-use dmdc::core::experiments::{registry, run_experiment};
+use dmdc::core::experiments::{execute, Work, WorkKind};
 use dmdc::core::runner::Context;
 use dmdc::isa::{BlockCode, EmuError, Emulator};
 use dmdc::workloads::{full_suite, FuzzKernel, Scale, Workload};
@@ -188,11 +188,10 @@ fn experiment_json_and_csv_match_goldens() {
         .join("target")
         .join("dmdc-cache-format-golden-test");
     let ctx = Context::new().with_store(cache_dir);
-    let exp = registry()
-        .iter()
-        .find(|e| e.id() == "fig2")
-        .expect("fig2 is in the registry");
-    let report = run_experiment(&ctx, *exp, Scale::Smoke);
+    let kind = WorkKind::Experiment {
+        id: "fig2".to_string(),
+    };
+    let report = execute(&ctx, &Work::new(kind, Scale::Smoke, None), None).unwrap();
     let golden_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/formats");
     for (ext, actual) in [("json", report.json()), ("csv", report.csv())] {
         let path = golden_dir.join(format!("fig2.{ext}"));

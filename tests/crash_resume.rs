@@ -66,8 +66,14 @@ fn cache_hits(err: &str) -> usize {
         .unwrap_or_else(|| panic!("no `[profile] cell cache:` line in stderr:\n{err}"))
 }
 
+/// Kill the smoke suite after each of its sealed writes in turn, on the
+/// run-private store and on the shared one, and resume it: every resume
+/// must reproduce the uninterrupted run's bytes and read back at least
+/// the cells that were on disk at the kill.
 #[test]
 fn killed_suite_resumes_byte_identical() {
+    // A cold smoke suite seals one cell per workload and nothing else.
+    const WRITES: usize = 14;
     let wd = workdir("dmdc-crash-resume-wd");
 
     // The uninterrupted reference run (no run id, no store).
@@ -83,71 +89,88 @@ fn killed_suite_resumes_byte_identical() {
     // The store is the crash record. Under `--no-cache` a run keeps its
     // cells in a run-private store; with the shared store on, the cells
     // the killed run finished are already in `target/dmdc-cache/`.
-    let private = "target/dmdc-runs/kill-test/journal";
     let shared = &SUITE[..SUITE.len() - 1]; // without the trailing --no-cache
-    for (run_id, args, store) in [
-        ("kill-test", SUITE, private),
-        ("kill-shared", shared, "target/dmdc-cache"),
-    ] {
-        // The same run under a run id, aborted after 4 durable writes.
+    for (label, args, private) in [("kill-test", SUITE, true), ("kill-shared", shared, false)] {
         // `--profile` is recorded in the manifest, so the resume prints
         // the cell-cache counters (on stderr; stdout is unchanged).
-        let mut crash_args = args.to_vec();
-        crash_args.extend([
-            "--profile",
-            "--run-id",
-            run_id,
-            "--inject-faults",
-            "kill-after=4",
-        ]);
-        let crashed = dmdc(&wd, &crash_args);
+        let run = |run_id: &str, kill_after: usize| {
+            let kill = format!("kill-after={kill_after}");
+            let flags = ["--profile", "--run-id", run_id, "--inject-faults", &kill];
+            dmdc(&wd, &[args, &flags[..]].concat())
+        };
+        // Armed to die at write W + 1, a cold run finishes: it makes at
+        // most W sealed writes, and the kill at k = W below shows at
+        // least W.
+        let _ = std::fs::remove_dir_all(wd.join("target"));
+        let whole = run(&format!("{label}-whole"), WRITES + 1);
         assert!(
-            !crashed.status.success(),
-            "the injected abort must kill run {run_id}"
-        );
-        let entries = cell_entries(&wd.join(store));
-        assert!(
-            entries >= 4,
-            "{run_id}: expected at least the 4 pre-abort cells in {store}, found {entries}"
-        );
-
-        // Resume: the store serves the finished cells, only the rest
-        // simulate, and the report reproduces the reference bytes.
-        let resumed = dmdc(&wd, &["run", "--resume", run_id]);
-        assert!(
-            resumed.status.success(),
-            "resume of {run_id} failed: {}",
-            stderr(&resumed)
-        );
-        let err = stderr(&resumed);
-        assert!(
-            err.contains(&format!("resuming run '{run_id}'")),
-            "resume must announce itself on stderr"
+            whole.status.success(),
+            "{label}: the suite must make at most {WRITES} sealed writes: {}",
+            stderr(&whole)
         );
         assert_eq!(
-            stdout(&resumed),
+            stdout(&whole),
             reference,
-            "{run_id}: resumed report must be byte-identical to the uninterrupted run"
+            "{label}: run id changed the report"
         );
-        let hits = cache_hits(&err);
-        assert!(
-            hits >= entries,
-            "{run_id}: the resume must skip the {entries} cells finished before the kill, \
-             but the store served only {hits}"
-        );
-        // With the shared store on, each cell is written once, to it.
-        let run_store = wd.join(format!("target/dmdc-runs/{run_id}/journal"));
-        assert_eq!(run_store.exists(), store == private, "{run_id}: run store");
 
-        // A second resume is served entirely by the store and is still
-        // byte-identical.
-        let again = dmdc(&wd, &["run", "--resume", run_id]);
-        assert!(
-            again.status.success(),
-            "re-resume of {run_id} failed: {}",
-            stderr(&again)
-        );
-        assert_eq!(stdout(&again), reference);
+        for k in 1..=WRITES {
+            let _ = std::fs::remove_dir_all(wd.join("target"));
+            let run_id = format!("{label}-{k}");
+            let store = if private {
+                format!("target/dmdc-runs/{run_id}/journal")
+            } else {
+                "target/dmdc-cache".to_string()
+            };
+            let crashed = run(&run_id, k);
+            assert!(
+                !crashed.status.success(),
+                "the injected abort must kill run {run_id}"
+            );
+            let entries = cell_entries(&wd.join(&store));
+            assert!(
+                entries >= k,
+                "{run_id}: expected at least the {k} pre-abort cells in {store}, found {entries}"
+            );
+
+            // Resume: the store serves the finished cells, only the rest
+            // simulate, and the report reproduces the reference bytes.
+            let resumed = dmdc(&wd, &["run", "--resume", &run_id]);
+            assert!(
+                resumed.status.success(),
+                "resume of {run_id} failed: {}",
+                stderr(&resumed)
+            );
+            let err = stderr(&resumed);
+            assert!(
+                err.contains(&format!("resuming run '{run_id}'")),
+                "resume must announce itself on stderr"
+            );
+            assert_eq!(
+                stdout(&resumed),
+                reference,
+                "{run_id}: resumed report must be byte-identical to the uninterrupted run"
+            );
+            let hits = cache_hits(&err);
+            assert!(
+                hits >= entries,
+                "{run_id}: the resume must skip the {entries} cells finished before the kill, \
+                 but the store served only {hits}"
+            );
+            // With the shared store on, each cell is written once, to it.
+            let run_store = wd.join(format!("target/dmdc-runs/{run_id}/journal"));
+            assert_eq!(run_store.exists(), private, "{run_id}: run store");
+
+            // A second resume is served entirely by the store and is
+            // still byte-identical.
+            let again = dmdc(&wd, &["run", "--resume", &run_id]);
+            assert!(
+                again.status.success(),
+                "re-resume of {run_id} failed: {}",
+                stderr(&again)
+            );
+            assert_eq!(stdout(&again), reference);
+        }
     }
 }
 

@@ -15,7 +15,7 @@
 //! done
 //! ```
 
-use dmdc::core::experiments::{registry, run_experiment};
+use dmdc::core::experiments::{execute, registry, Work, WorkKind};
 use dmdc::core::runner::Context;
 use dmdc::workloads::Scale;
 
@@ -37,7 +37,11 @@ fn every_registry_experiment_matches_its_golden_snapshot() {
         let path = golden_dir.join(format!("{}.txt", exp.id()));
         let expected = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("missing golden snapshot {}: {e}", path.display()));
-        let actual = run_experiment(&ctx, *exp, Scale::Smoke).text();
+        let kind = WorkKind::Experiment {
+            id: exp.id().to_string(),
+        };
+        let work = Work::new(kind, Scale::Smoke, None);
+        let actual = execute(&ctx, &work, None).unwrap().text();
         assert_eq!(
             actual,
             expected,

@@ -2,7 +2,8 @@
 //! boot the daemon on an ephemeral port, drive it over HTTP, and prove
 //! the service contract — submit/poll/fetch, coalescing of identical
 //! submissions onto one job, cell sharing across distinct jobs through
-//! the cache, structured quota rejection, graceful drain on
+//! the cache, the CLI's sampling rule carried by `dmdc submit`,
+//! structured quota rejection, graceful drain on
 //! `POST /shutdown` and on SIGTERM, restart recovery with byte-identical
 //! results from every crash point and from a damaged result, and
 //! checkpoints shared across daemon lives. Nothing here sleeps to synchronise:
@@ -227,6 +228,50 @@ fn submit_poll_fetch_roundtrip() {
     );
 
     assert!(daemon.shutdown(), "graceful shutdown exits cleanly");
+}
+
+/// `dmdc submit` resolves `--sampled`/`--exact` by the rule `dmdc run`
+/// and `dmdc experiment` apply: an explicit flag beats the scale's
+/// default for both job kinds, and both flags at once are refused before
+/// anything is sent. The daemon stays paused, so nothing simulates.
+#[test]
+fn submit_forwards_the_cli_sampling_rule() {
+    let daemon = Daemon::boot(&state_dir("dmdc-service-submit-sampling"), &["--paused"]);
+    let submit = |args: &str| {
+        Command::new(env!("CARGO_BIN_EXE_dmdc"))
+            .args(["submit", "--addr", &daemon.addr])
+            .args(args.split(' '))
+            .output()
+            .expect("run dmdc submit")
+    };
+    let cell = "--workload histo --policy baseline";
+    for args in [
+        format!("{cell} --scale full --exact"),
+        "--experiment fig2 --scale smoke --sampled".to_string(),
+    ] {
+        let out = submit(&args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "submit {args}: {err}");
+    }
+    let both = submit(&format!("{cell} --sampled --exact"));
+    let err = String::from_utf8_lossy(&both.stderr);
+    assert!(
+        !both.status.success() && err.contains("mutually exclusive"),
+        "{err}"
+    );
+
+    let (_, body) = daemon.get("/jobs");
+    let doc = json::parse(&body).unwrap();
+    let specs: Vec<(&str, Option<bool>)> = (doc.get("jobs").unwrap().as_array().unwrap())
+        .iter()
+        .map(|job| job.get("spec").unwrap())
+        .map(|spec| {
+            let kind = spec.get("kind").unwrap().as_str().unwrap();
+            (kind, spec.get("sampled").and_then(json::Json::as_bool))
+        })
+        .collect();
+    let want = [("cell", Some(false)), ("experiment", Some(true))];
+    assert_eq!(specs, want, "{body}");
 }
 
 #[test]

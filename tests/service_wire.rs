@@ -14,6 +14,7 @@
 
 use std::path::PathBuf;
 
+use dmdc::core::experiments::Work;
 use dmdc::core::runner::Context;
 use dmdc::core::service::http::Request;
 use dmdc::core::service::jobs::{self, JobManager};
@@ -368,15 +369,6 @@ fn raw_socket_abuse_is_classified_not_fatal() {
 }
 
 /// The spec matching [`CELL`], for executing the real simulation.
-fn manager_spec() -> jobs::JobSpec {
-    use dmdc::core::experiments::PolicyKind;
-    use dmdc::workloads::Scale;
-    jobs::JobSpec::Cell {
-        workload: "histo".to_string(),
-        policy: PolicyKind::Baseline,
-        config: 2,
-        scale: Scale::Smoke,
-        inval_rate: 0.0,
-        sampled: false,
-    }
+fn manager_spec() -> Work {
+    Work::from_json(&dmdc::core::service::json::parse(CELL).unwrap()).unwrap()
 }
